@@ -3,13 +3,10 @@
 // the calibration inputs behind the performance model's assumption that
 // search-unit cost is proportional to the pattern count.
 //
-// Before the gbench suites, a kernel x CLV-layout x site-repeats matrix runs
-// a full-retraversal evaluate for every family member and reports two gated
-// headline speedups in BENCH_kernels.json:
-//   - simd: dispatched member + blocked layout vs scalar + pattern-major on
-//     a GAMMA newview-heavy workload (gate: >= 1.5x)
-//   - repeats: site repeats on vs off, best member, on a duplicate-heavy
-//     low-divergence alignment (gate: >= 2x additional)
+// Before the gbench suites, a kernel x CLV-layout matrix runs a
+// full-retraversal evaluate for every family member and reports the gated
+// headline speedup in BENCH_kernels.json: dispatched member + blocked layout
+// vs scalar + pattern-major on a GAMMA newview-heavy workload (gate: >= 1.5x).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -24,8 +21,6 @@
 #include "bio/seqsim.h"
 #include "likelihood/engine.h"
 #include "likelihood/kernels.h"
-#include "likelihood/repeats.h"
-#include "obs/obs.h"
 #include "tree/tree.h"
 
 namespace {
@@ -112,7 +107,7 @@ void BM_CatRateOptimization(benchmark::State& state) {
 BENCHMARK(BM_CatRateOptimization)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// kernel x layout x repeats matrix (gated headline speedups)
+// kernel x layout matrix (gated headline speedup)
 // ---------------------------------------------------------------------------
 
 struct MatrixDataset {
@@ -122,15 +117,13 @@ struct MatrixDataset {
   std::unique_ptr<Tree> tree;
 };
 
-MatrixDataset make_dataset(std::size_t sites, int taxa, double mean_branch,
-                           std::uint64_t seed) {
+MatrixDataset make_dataset(std::size_t sites, int taxa, std::uint64_t seed) {
   MatrixDataset d;
   SimConfig cfg;
   cfg.taxa = taxa;
   cfg.distinct_sites = sites;
   cfg.total_sites = sites;
   cfg.seed = seed;
-  cfg.mean_branch_length = mean_branch;
   d.sim = simulate_alignment(cfg);
   d.patterns = PatternAlignment::compress(d.sim.alignment);
   d.gtr.freqs = d.patterns.empirical_frequencies();
@@ -143,7 +136,7 @@ MatrixDataset make_dataset(std::size_t sites, int taxa, double mean_branch,
 // invalidate_all() forces every inner CLV to recompute, so the measurement
 // is newview-dominated — the kernel the SIMD family actually accelerates.
 double time_full_eval_ms(LikelihoodEngine& engine, Tree& tree) {
-  (void)engine.evaluate(tree);  // warm: CLVs, pmat scratch, repeat class maps
+  (void)engine.evaluate(tree);  // warm: CLVs and pmat scratch
   constexpr int kIters = 8;
   constexpr int kReps = 3;
   double best = std::numeric_limits<double>::infinity();
@@ -162,20 +155,16 @@ double time_full_eval_ms(LikelihoodEngine& engine, Tree& tree) {
 }
 
 struct Cell {
-  const char* dataset;
   kern::KernelIsa isa;
   bool blocked;
-  bool repeats;
   double ms;
 };
 
 // The CLV layout is chosen at engine construction from RAXH_CLV_LAYOUT, so
-// each cell constructs a fresh engine under the right env + global toggles.
-double run_cell(const MatrixDataset& d, kern::KernelIsa isa, bool blocked,
-                bool repeats_on) {
+// each cell constructs a fresh engine under the right env + kernel member.
+double run_cell(const MatrixDataset& d, kern::KernelIsa isa, bool blocked) {
   if (!kern::set_kernel_isa(isa)) return -1.0;
   setenv("RAXH_CLV_LAYOUT", blocked ? "blocked" : "pattern-major", 1);
-  set_repeats_enabled(repeats_on);
   LikelihoodEngine engine(d.patterns, d.gtr, RateModel::gamma(0.7));
   Tree t = *d.tree;
   return time_full_eval_ms(engine, t);
@@ -189,7 +178,6 @@ std::string fmt(double v) {
 
 std::string run_kernel_matrix() {
   const kern::KernelIsa dispatched = kern::kernel_isa();
-  const bool prev_repeats = repeats_enabled();
 
   std::vector<kern::KernelIsa> members;
   for (int i = 0; i < kern::kNumKernelIsas; ++i) {
@@ -198,115 +186,62 @@ std::string run_kernel_matrix() {
   }
 
   raxh::bench::print_header(
-      "kernel x layout x repeats matrix (full-retraversal evaluate)",
-      "Sec. 3 kernel-level SIMD + Kobert et al. site repeats");
+      "kernel x layout matrix (full-retraversal evaluate)",
+      "Sec. 3 kernel-level SIMD");
   std::printf("family: %s | dispatched: %s\n\n",
               kern::kernel_isa_list().c_str(),
               kern::kernel_isa_name(dispatched));
 
   // GAMMA, ordinary divergence: the SIMD gate's workload.
-  const MatrixDataset gamma = make_dataset(1024, 24, 0.12, 99);
-  // Duplicate-heavy low-divergence alignment (same regime as
-  // `raxh_make_alignment -mean-branch 0.005`): the repeats gate's workload.
-  const MatrixDataset dup = make_dataset(4096, 48, 0.005, 101);
+  const MatrixDataset gamma = make_dataset(1024, 24, 99);
 
   std::vector<Cell> cells;
   for (const auto isa : members)
     for (const bool blocked : {false, true})
-      for (const bool rep : {false, true})
-        cells.push_back(
-            {"gamma", isa, blocked, rep, run_cell(gamma, isa, blocked, rep)});
-
-  // Repeats gate cells + hit rate, on the duplicate-heavy dataset. The gate
-  // runs on the pattern-major layout: that is where site repeats pay (copies
-  // are contiguous memcpy, and CAT — the layout's main user — is pm-only).
-  // Under blocked SoA the dense SIMD newview is already near bandwidth, so
-  // lane-strided copies roughly break even; the blocked cells below record
-  // that honestly rather than hiding it.
-  const kern::KernelIsa best = kern::best_kernel_isa();
-  cells.push_back(
-      {"dup", best, false, false, run_cell(dup, best, false, false)});
-  cells.push_back({"dup", best, true, false, run_cell(dup, best, true, false)});
-  cells.push_back({"dup", best, true, true, run_cell(dup, best, true, true)});
-  const bool obs_was = obs::enabled();
-  obs::set_enabled(true);
-  const auto before = obs::counters_snapshot();
-  cells.push_back(
-      {"dup", best, false, true, run_cell(dup, best, false, true)});
-  const auto after = obs::counters_snapshot();
-  obs::set_enabled(obs_was);
-  const double computed =
-      static_cast<double>(after[obs::Counter::kRepeatPatternsComputed] -
-                          before[obs::Counter::kRepeatPatternsComputed]);
-  const double copied =
-      static_cast<double>(after[obs::Counter::kRepeatPatternsCopied] -
-                          before[obs::Counter::kRepeatPatternsCopied]);
-  const double hit_rate =
-      computed + copied > 0.0 ? copied / (computed + copied) : 0.0;
+      cells.push_back({isa, blocked, run_cell(gamma, isa, blocked)});
 
   // Restore process-wide defaults before the gbench suites run.
   unsetenv("RAXH_CLV_LAYOUT");
   kern::set_kernel_isa(dispatched);
-  set_repeats_enabled(prev_repeats);
 
-  auto find_ms = [&](const char* ds, kern::KernelIsa isa, bool blocked,
-                     bool rep) {
+  auto find_ms = [&](kern::KernelIsa isa, bool blocked) {
     for (const auto& c : cells)
-      if (std::string(ds) == c.dataset && c.isa == isa &&
-          c.blocked == blocked && c.repeats == rep)
-        return c.ms;
+      if (c.isa == isa && c.blocked == blocked) return c.ms;
     return -1.0;
   };
-  const double scalar_pm =
-      find_ms("gamma", kern::KernelIsa::kScalar, false, false);
-  const double best_blocked = find_ms("gamma", best, true, false);
-  const double dup_off = find_ms("dup", best, false, false);
-  const double dup_on = find_ms("dup", best, false, true);
+  const kern::KernelIsa best = kern::best_kernel_isa();
+  const double scalar_pm = find_ms(kern::KernelIsa::kScalar, false);
+  const double best_blocked = find_ms(best, true);
   const double simd_speedup = best_blocked > 0.0 ? scalar_pm / best_blocked : 0.0;
-  const double repeat_speedup = dup_on > 0.0 ? dup_off / dup_on : 0.0;
   const bool gate_simd = simd_speedup >= 1.5;
-  const bool gate_repeats = repeat_speedup >= 2.0;
 
-  std::string csv = "dataset,kernels,layout,repeats,eval_ms,speedup_vs_scalar_pm\n";
+  std::string csv = "kernels,layout,eval_ms,speedup_vs_scalar_pm\n";
   for (const auto& c : cells) {
-    const double ref = std::string("gamma") == c.dataset ? scalar_pm : dup_off;
-    std::printf("  %-6s %-8s %-13s repeats=%-3s  %8.3f ms  (%.2fx)\n",
-                c.dataset, kern::kernel_isa_name(c.isa),
-                c.blocked ? "blocked" : "pattern-major", c.repeats ? "on" : "off",
-                c.ms, c.ms > 0.0 ? ref / c.ms : 0.0);
-    csv += std::string(c.dataset) + ',' + kern::kernel_isa_name(c.isa) + ',' +
-           (c.blocked ? "blocked" : "pattern-major") + ',' +
-           (c.repeats ? "on" : "off") + ',' + fmt(c.ms) + ',' +
-           fmt(c.ms > 0.0 ? ref / c.ms : 0.0) + '\n';
+    const char* layout = c.blocked ? "blocked" : "pattern-major";
+    const double speedup = c.ms > 0.0 ? scalar_pm / c.ms : 0.0;
+    std::printf("  %-8s %-13s  %8.3f ms  (%.2fx)\n",
+                kern::kernel_isa_name(c.isa), layout, c.ms, speedup);
+    csv += std::string(kern::kernel_isa_name(c.isa)) + ',' + layout + ',' +
+           fmt(c.ms) + ',' + fmt(speedup) + '\n';
   }
   std::printf("\n  [GATE] simd   %s + blocked vs scalar + pattern-major: "
-              "%.2fx (>= 1.5x required) %s\n",
+              "%.2fx (>= 1.5x required) %s\n\n",
               kern::kernel_isa_name(best), simd_speedup,
               gate_simd ? "PASS" : "FAIL");
-  std::printf("  [GATE] repeats on vs off (duplicate-heavy, pattern-major): "
-              "%.2fx (>= 2x required) %s   hit rate %.1f%%\n\n",
-              repeat_speedup, gate_repeats ? "PASS" : "FAIL",
-              100.0 * hit_rate);
   raxh::bench::write_output("kernel_matrix.csv", csv);
 
   std::string matrix_json;
   for (const auto& c : cells) {
     if (!matrix_json.empty()) matrix_json += ',';
-    matrix_json += std::string("{\"dataset\":\"") + c.dataset +
-                   "\",\"kernels\":\"" + kern::kernel_isa_name(c.isa) +
-                   "\",\"layout\":\"" +
+    matrix_json += std::string("{\"kernels\":\"") +
+                   kern::kernel_isa_name(c.isa) + "\",\"layout\":\"" +
                    (c.blocked ? "blocked" : "pattern-major") +
-                   "\",\"repeats\":" + (c.repeats ? "true" : "false") +
-                   ",\"eval_ms\":" + fmt(c.ms) + '}';
+                   "\",\"eval_ms\":" + fmt(c.ms) + '}';
   }
   return "\"simd_speedup\":" + fmt(simd_speedup) +
-         ",\"repeat_speedup\":" + fmt(repeat_speedup) +
-         ",\"repeat_hit_rate\":" + fmt(hit_rate) +
          ",\"gate_simd_1p5x\":" + (gate_simd ? "true" : "false") +
-         ",\"gate_repeats_2x\":" + (gate_repeats ? "true" : "false") +
          ",\"matrix\":[" + matrix_json + "]," + kern::to_json_section();
 }
-
 }  // namespace
 
 int main(int argc, char** argv) {

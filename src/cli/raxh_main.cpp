@@ -21,8 +21,6 @@
 //   --kernels=NAME  likelihood kernel family member: auto (default; best
 //                   CPUID-supported member) | scalar | generic | neon |
 //                   avx2 | avx512. RAXH_KERNELS sets the same override.
-//   --repeats=on|off  site-repeat detection in newview  [on; bitwise-
-//                   invisible to results, off for A/B benching]
 //   -simd <on|off|auto>  legacy alias: off = --kernels=scalar, on/auto =
 //                   best member (the default)
 //
@@ -90,7 +88,6 @@
 #include "bio/patterns.h"
 #include "serve/client.h"
 #include "likelihood/kernels.h"
-#include "likelihood/repeats.h"
 #include "core/analyses.h"
 #include "core/evaluate_mode.h"
 #include "core/hybrid.h"
@@ -124,7 +121,7 @@ void usage(const char* prog) {
       "          [--blackbox-dir=DIR] [--blackbox-dump]\n"
       "          [--collectives=star|tree] [--transport=socketpair|shm]\n"
       "          [--kernels=auto|scalar|generic|neon|avx2|avx512]\n"
-      "          [--repeats=on|off] [-simd on|off|auto]\n"
+      "          [-simd on|off|auto]\n"
       "          [--connect=SOCKET|host:port]  (run -f a on a raxhd daemon)\n"
       "modes: a=comprehensive (default), d=multi-start ML, b=bootstrap only,\n"
       "       x=adaptive bootstrap (FC bootstopping), e=evaluate topology\n",
@@ -624,6 +621,10 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return alignment_path ? 0 : 2;
   }
+  if (cli.has("-repeats")) {
+    std::fprintf(stderr, "error: --repeats: site repeats were removed\n");
+    return 2;
+  }
 
   {
     const std::string lvl = cli.value_or("-log-level", "");
@@ -713,18 +714,8 @@ int main(int argc, char** argv) {
       } else if (simd == "off") {
         kern::set_kernel_isa(kern::KernelIsa::kScalar);
       }
-      const std::string repeats = cli.value_or("-repeats", "");
-      if (!repeats.empty()) {
-        if (repeats != "on" && repeats != "off") {
-          std::fprintf(stderr, "error: --repeats=%s: expected on or off\n",
-                       repeats.c_str());
-          return 2;
-        }
-        set_repeats_enabled(repeats == "on");
-      }
-      std::printf("raxh: %s kernels, site repeats %s\n",
-                  kern::kernel_isa_name(kern::kernel_isa()),
-                  repeats_enabled() ? "on" : "off");
+      std::printf("raxh: %s kernels, site repeats off\n",
+                  kern::kernel_isa_name(kern::kernel_isa()));
     }
 
     const std::string mode = cli.value_or("f", "a");

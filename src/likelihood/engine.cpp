@@ -51,8 +51,6 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& patterns,
   clvs_.resize(slots * clv_stride_);
   scales_.resize(slots * npat);
   slots_.resize(slots);
-  slot_repeats_.resize(slots);
-  repeat_copy_hits_.assign(npat, 0);
 
   if (rates_.kind() == RateKind::kGamma) {
     cat_weights_.assign(static_cast<std::size_t>(rates_.num_categories()),
@@ -101,7 +99,7 @@ void LikelihoodEngine::set_weights(std::span<const int> weights) {
   RAXH_EXPECTS(weights.size() == patterns_->num_patterns());
   weights_.assign(weights.begin(), weights.end());
   // Weights only enter weighted sums, not CLVs; no model-epoch bump needed.
-  // They do drive the cost-aware crew partition, though.
+  // They do fix the reductions' partition, though.
   ++weights_epoch_;
 }
 
@@ -134,9 +132,6 @@ void LikelihoodEngine::set_cat_assignment(std::vector<double> category_rates,
   lookup_a_.resize(ncat * 64);
   lookup_b_.resize(ncat * 64);
   ++model_epoch_;
-  // Under CAT, repeat classes fold in the per-pattern category, so the
-  // reassignment invalidates every class array.
-  ++cat_epoch_;
 }
 
 std::uint64_t LikelihoodEngine::content_version(const Tree& tree,
@@ -156,39 +151,15 @@ void LikelihoodEngine::fill_pmats(double t, std::vector<double>& pmats) const {
 
 void LikelihoodEngine::refresh_partition() {
   const auto nthreads = static_cast<std::size_t>(crew_->num_threads());
-  const bool fold = repeat_cost_folding() && repeat_newviews_ > 0;
-  // With cost folding on, also rebuild once the copy-rate statistics have
-  // moved substantially since the last build.
-  const bool stats_fresh =
-      !fold || repeat_newviews_ < 2 * part_fold_newviews_ + 64;
-  if (part_epoch_ == weights_epoch_ && part_bounds_.size() == nthreads + 1 &&
-      stats_fresh)
+  if (part_epoch_ == weights_epoch_ && part_bounds_.size() == nthreads + 1)
     return;
   const std::size_t npat = patterns_->num_patterns();
-  // Per-pattern kernel cost: a GAMMA pattern stores/evaluates ncat rate
-  // categories, a CAT or uniform pattern one; the pattern weight scales the
-  // weighted-sum work. Uniform weights therefore reduce exactly to stripe().
   const auto cats = static_cast<std::uint64_t>(clv_cats());
   std::vector<std::uint64_t> costs(npat);
   for (std::size_t p = 0; p < npat; ++p)
     costs[p] = static_cast<std::uint64_t>(weights_[p]) * cats;
-  if (fold) {
-    // Repeat-aware costs (opt-in, see repeats.h): charge a pattern only for
-    // the fraction of newviews that actually computed it rather than
-    // copying it from its class representative. Scaled by 16 so partial
-    // rates survive integer math; never drops to zero (evaluate still
-    // touches every pattern).
-    for (std::size_t p = 0; p < npat; ++p) {
-      const std::uint64_t hits =
-          std::min<std::uint64_t>(repeat_copy_hits_[p], repeat_newviews_);
-      const std::uint64_t computed16 =
-          16 - (16 * hits) / repeat_newviews_;
-      costs[p] = std::max<std::uint64_t>(1, costs[p] * computed16 / 16);
-    }
-  }
   part_bounds_ = weighted_partition(costs, crew_->num_threads());
   part_epoch_ = weights_epoch_;
-  part_fold_newviews_ = repeat_newviews_;
 }
 
 template <typename Fn>
@@ -199,12 +170,10 @@ void LikelihoodEngine::dispatch(Fn&& fn) {
     fn(std::size_t{0}, npat, 0);
     return;
   }
-  refresh_partition();
-  crew_->run([&](int tid, int) {
-    const std::size_t begin = part_bounds_[static_cast<std::size_t>(tid)];
-    const std::size_t end = part_bounds_[static_cast<std::size_t>(tid) + 1];
-    obs::count(obs::Counter::kPatternsEvaluated, end - begin);
-    fn(begin, end, tid);
+  crew_->run([&](int tid, int nthreads) {
+    const Stripe s = stripe(npat, tid, nthreads);
+    obs::count(obs::Counter::kPatternsEvaluated, s.end - s.begin);
+    fn(s.begin, s.end, tid);
   });
 }
 
@@ -224,81 +193,6 @@ double LikelihoodEngine::dispatch_sum(Fn&& fn) {
     crew_->reduction(tid) = fn(begin, end, tid);
   });
   return crew_->sum_reduction();
-}
-
-template <typename Fn>
-void LikelihoodEngine::dispatch_range(std::size_t n, Fn&& fn) {
-  if (crew_ == nullptr || crew_->num_threads() == 1) {
-    obs::count(obs::Counter::kPatternsEvaluated, n);
-    fn(std::size_t{0}, n, 0);
-    return;
-  }
-  crew_->run([&](int tid, int) {
-    const Stripe s = stripe(n, tid, crew_->num_threads());
-    obs::count(obs::Counter::kPatternsEvaluated, s.end - s.begin);
-    fn(s.begin, s.end, tid);
-  });
-}
-
-std::uint64_t LikelihoodEngine::repeat_version(const Tree& tree,
-                                               int rec) const {
-  if (tree.is_tip_record(rec)) {
-    // Tip classes derive from the (immutable) tip row plus, under CAT, the
-    // current category assignment.
-    return rates_.kind() == RateKind::kCat ? cat_epoch_ + 1 : 1;
-  }
-  return slot_repeats_[static_cast<std::size_t>(tree.clv_slot(rec))].version;
-}
-
-ClassSource LikelihoodEngine::class_source(const Tree& tree, int rec) const {
-  if (tree.is_tip_record(rec)) {
-    const auto row = patterns_->row(static_cast<std::size_t>(rec));
-    const int* pcat = rates_.kind() == RateKind::kCat
-                          ? rates_.pattern_categories().data()
-                          : nullptr;
-    return ClassSource::tip(row.data(), pcat, rates_.num_categories());
-  }
-  const auto& sr =
-      slot_repeats_[static_cast<std::size_t>(tree.clv_slot(rec))];
-  return ClassSource::inner(sr.class_of.data(), sr.num_classes);
-}
-
-void LikelihoodEngine::ensure_repeat_classes(const Tree& tree, int rec) {
-  if (tree.is_tip_record(rec)) return;
-  const auto [c1, c2] = tree.children(rec);
-  ensure_repeat_classes(tree, c1);
-  ensure_repeat_classes(tree, c2);
-
-  auto& sr = slot_repeats_[static_cast<std::size_t>(tree.clv_slot(rec))];
-  const std::uint64_t v1 = repeat_version(tree, c1);
-  const std::uint64_t v2 = repeat_version(tree, c2);
-  if (sr.version != 0 && sr.oriented_rec == rec && sr.child_rec1 == c1 &&
-      sr.child_rec2 == c2 && sr.child_ver1 == v1 && sr.child_ver2 == v2 &&
-      sr.cat_epoch == cat_epoch_)
-    return;
-
-  const std::size_t npat = patterns_->num_patterns();
-  sr.num_classes = combiner_.combine(class_source(tree, c1),
-                                     class_source(tree, c2), npat,
-                                     &sr.class_of, &sr.reps);
-  sr.active =
-      sr.num_classes <= static_cast<std::uint32_t>(kRepeatActivationRatio *
-                                                   static_cast<double>(npat));
-  sr.oriented_rec = rec;
-  sr.child_rec1 = c1;
-  sr.child_rec2 = c2;
-  sr.child_ver1 = v1;
-  sr.child_ver2 = v2;
-  sr.cat_epoch = cat_epoch_;
-  sr.version = ++repeat_version_counter_;
-}
-
-std::uint32_t LikelihoodEngine::repeat_classes(const Tree& tree,
-                                               int rec) const {
-  if (tree.is_tip_record(rec)) return 0;
-  const auto& sr =
-      slot_repeats_[static_cast<std::size_t>(tree.clv_slot(rec))];
-  return sr.oriented_rec == rec && sr.active ? sr.num_classes : 0;
 }
 
 std::uint64_t LikelihoodEngine::edge_scale_total(const Tree& tree, int rec) {
@@ -359,61 +253,13 @@ void LikelihoodEngine::compute_clv(const Tree& tree, int rec) {
   double* out = clv(slot);
   int* out_scale = scale(slot);
 
-  // Site repeats: when this node's repeat map is worth applying, phase A
-  // computes only the class representatives (the kernels take the rep list
-  // as `pattern_ids`) and phase B copies every other pattern's CLV + scale
-  // count from its representative. Copies are exact, so results are
-  // bitwise-identical to the plain full-range newview.
-  const std::size_t npat = patterns_->num_patterns();
-  const std::uint32_t* ids = nullptr;
-  std::size_t nreps = 0;
-  const SlotRepeats* sr = nullptr;
-  if (repeats_enabled()) {
-    ensure_repeat_classes(tree, rec);
-    auto& srm = slot_repeats_[static_cast<std::size_t>(slot)];
-    if (srm.active) {
-      sr = &srm;
-      ids = srm.reps.data();
-      nreps = srm.reps.size();
-    }
-  }
-
-  auto run_newview = [&](auto&& nv) {
-    if (ids == nullptr) {
-      dispatch([&](std::size_t b, std::size_t e, int) { nv(b, e); });
-      return;
-    }
-    dispatch_range(nreps, [&](std::size_t b, std::size_t e, int) { nv(b, e); });
-    dispatch([&](std::size_t b, std::size_t e, int) {
-      const std::uint32_t* cls = sr->class_of.data();
-      const std::uint32_t* reps = sr->reps.data();
-      const std::size_t row = static_cast<std::size_t>(lay.clv_cats) * 4;
-      for (std::size_t p = b; p < e; ++p) {
-        const std::size_t rp = reps[cls[p]];
-        if (rp == p) continue;
-        if (lay.clv_layout == kern::ClvLayout::kPatternMajor) {
-          std::memcpy(out + p * row, out + rp * row, row * sizeof(double));
-        } else {
-          for (int c = 0; c < lay.clv_cats; ++c)
-            for (int s = 0; s < 4; ++s)
-              out[lay.clv_index(p, c, s)] = out[lay.clv_index(rp, c, s)];
-        }
-        out_scale[p] = out_scale[rp];
-        ++repeat_copy_hits_[p];
-      }
-    });
-    obs::count(obs::Counter::kRepeatPatternsComputed, nreps);
-    obs::count(obs::Counter::kRepeatPatternsCopied, npat - nreps);
-    ++repeat_newviews_;
-  };
-
   if (tip1 && tip2) {
     const auto row1 = patterns_->row(static_cast<std::size_t>(c1));
     const auto row2 = patterns_->row(static_cast<std::size_t>(c2));
-    run_newview([&](std::size_t b, std::size_t e) {
+    dispatch([&](std::size_t b, std::size_t e, int) {
       kern::newview_tip_tip(lay, b, e, row1.data(), row2.data(),
                             lookup_a_.data(), lookup_b_.data(), out,
-                            out_scale, ids);
+                            out_scale);
     });
   } else if (tip1 || tip2) {
     const int tip_rec = tip1 ? c1 : c2;
@@ -422,18 +268,18 @@ void LikelihoodEngine::compute_clv(const Tree& tree, int rec) {
     const double* tip_lookup = tip1 ? lookup_a_.data() : lookup_b_.data();
     const double* inner_pmat = tip1 ? pmat_b_.data() : pmat_a_.data();
     const int inner_slot = tree.clv_slot(inner_rec);
-    run_newview([&](std::size_t b, std::size_t e) {
+    dispatch([&](std::size_t b, std::size_t e, int) {
       kern::newview_tip_inner(lay, b, e, tip_row.data(), tip_lookup,
                               clv(inner_slot), scale(inner_slot), inner_pmat,
-                              out, out_scale, ids);
+                              out, out_scale);
     });
   } else {
     const int slot1 = tree.clv_slot(c1);
     const int slot2 = tree.clv_slot(c2);
-    run_newview([&](std::size_t b, std::size_t e) {
+    dispatch([&](std::size_t b, std::size_t e, int) {
       kern::newview_inner_inner(lay, b, e, clv(slot1), scale(slot1),
                                 pmat_a_.data(), clv(slot2), scale(slot2),
-                                pmat_b_.data(), out, out_scale, ids);
+                                pmat_b_.data(), out, out_scale);
     });
   }
 

@@ -18,7 +18,6 @@
 
 #include "bio/patterns.h"
 #include "likelihood/kernels.h"
-#include "likelihood/repeats.h"
 #include "model/gtr.h"
 #include "model/rates.h"
 #include "parallel/workforce.h"
@@ -100,11 +99,6 @@ class LikelihoodEngine {
   // pattern-major|blocked overrides (blocked is ignored for CAT).
   [[nodiscard]] kern::ClvLayout clv_layout() const { return clv_layout_; }
 
-  // Site-repeat bookkeeping for the most recent newview of `rec`'s slot
-  // (tests + benches): number of repeat classes, or 0 when repeats were not
-  // applied there.
-  [[nodiscard]] std::uint32_t repeat_classes(const Tree& tree, int rec) const;
-
   // Sum over patterns of the combined scale counts at edge `rec`'s CLV
   // endpoints (tips contribute zero; ensures the CLVs first). Tests use this
   // to prove a deep tree actually rescales before relying on scale-corrected
@@ -131,37 +125,25 @@ class LikelihoodEngine {
   void ensure_clv(const Tree& tree, int rec);
   void compute_clv(const Tree& tree, int rec);
 
-  // --- site repeats (repeats.h) ---
-  // Repeat-class version of rec's node (tips: derived from the CAT epoch).
-  [[nodiscard]] std::uint64_t repeat_version(const Tree& tree, int rec) const;
-  // Make the repeat classes of inner node rec valid, recursing into
-  // children. Classes depend on subtree topology + tip data only, so they
-  // survive branch-length and model changes (CAT category reassignment
-  // excepted).
-  void ensure_repeat_classes(const Tree& tree, int rec);
-  [[nodiscard]] ClassSource class_source(const Tree& tree, int rec) const;
-
   // Fill pmats (ncat_model * 16) for branch length t.
   void fill_pmats(double t, std::vector<double>& pmats) const;
 
-  // Partitioned dispatch helper: runs fn(begin, end, tid) over patterns,
-  // splitting by the cost-aware partition (see refresh_partition()).
+  // Striped dispatch for the jobs without a reduction (newview, sumtable):
+  // runs fn(begin, end, tid) on equal blocks of patterns. Their results are
+  // per pattern, so the split never moves a bit.
   template <typename Fn>
   void dispatch(Fn&& fn);
-  // Partitioned dispatch with double-sum reduction of fn's return value
-  // (summed in fixed tid order — deterministic for a fixed thread count).
+  // Dispatch with double-sum reduction of fn's return value over the
+  // weighted partition (see refresh_partition()), summed in fixed tid order.
   template <typename Fn>
   double dispatch_sum(Fn&& fn);
-  // Plain striped dispatch over [0, n) — used for the repeat-representative
-  // domain, which has its own index space.
-  template <typename Fn>
-  void dispatch_range(std::size_t n, Fn&& fn);
 
-  // Rebuild the per-pattern cost vector (pattern weight x stored CLV
-  // categories — GAMMA patterns carry ncat categories, CAT/uniform one) and
-  // the weighted prefix-sum partition of the pattern range across the crew.
-  // Cached per weights epoch; weights are the only per-pattern cost input
-  // that changes after construction (bootstrap replicates swap them).
+  // Rebuild the weighted prefix-sum partition (pattern weight x stored CLV
+  // categories) that fixes how the reductions group their floating-point
+  // sums: evaluate and branch_derivatives sum each thread's range, then the
+  // ranges in tid order. It is numerics, not a cost model — newview and
+  // the sumtable never read weights — and changing it moves the last bits
+  // of every multi-threaded lnL. Cached per weights epoch.
   void refresh_partition();
 
   double evaluate_edge(const Tree& tree, int rec, double* per_pattern);
@@ -176,8 +158,8 @@ class LikelihoodEngine {
   std::uint64_t weights_epoch_ = 0;  // bumped whenever weights_ changes
   std::vector<double> cat_weights_;  // GAMMA: 1/ncat each
 
-  // Cost-aware crew partition: part_bounds_[t]..part_bounds_[t+1] is thread
-  // t's pattern range; rebuilt when weights_epoch_ moves past part_epoch_.
+  // Reduction partition: part_bounds_[t]..part_bounds_[t+1] is thread t's
+  // pattern range; rebuilt when weights_epoch_ moves past part_epoch_.
   std::vector<std::size_t> part_bounds_;
   std::uint64_t part_epoch_ = ~std::uint64_t{0};
 
@@ -189,16 +171,6 @@ class LikelihoodEngine {
   std::uint64_t model_epoch_ = 1;
   std::uint64_t version_counter_ = 1;
   std::uint64_t newview_count_ = 0;
-
-  // Site-repeat state: per-slot classes plus combine scratch; copy-hit
-  // tallies feed the opt-in repeat-aware partition costs.
-  std::vector<SlotRepeats> slot_repeats_;
-  RepeatCombiner combiner_;
-  std::uint64_t repeat_version_counter_ = 0;
-  std::uint64_t cat_epoch_ = 0;  // bumped by set_cat_assignment
-  std::uint64_t repeat_newviews_ = 0;     // repeat-active newviews so far
-  std::uint64_t part_fold_newviews_ = 0;  // ... at the last partition build
-  std::vector<std::uint32_t> repeat_copy_hits_;  // per-pattern copies
 
   // Scratch (master-filled, crew-read).
   std::vector<double> pmat_a_, pmat_b_;

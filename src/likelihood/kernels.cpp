@@ -71,9 +71,8 @@ void scalar_newview_tip_tip(const RateLayout& l, std::size_t begin,
                             const DnaState* tip_right,
                             const double* lookup_left,
                             const double* lookup_right, double* clv,
-                            int* scale, const std::uint32_t* ids) {
-  for (std::size_t k = begin; k < end; ++k) {
-    const std::size_t p = ids != nullptr ? ids[k] : k;
+                            int* scale) {
+  for (std::size_t p = begin; p < end; ++p) {
     for (int c = 0; c < l.clv_cats; ++c) {
       const int mc = l.model_cat(p, c);
       const double* tl = lookup_left + mc * 64 + tip_left[p] * 4;
@@ -90,9 +89,8 @@ void scalar_newview_tip_inner(const RateLayout& l, std::size_t begin,
                               const double* lookup_left,
                               const double* clv_right, const int* scale_right,
                               const double* pmat_right, double* clv,
-                              int* scale, const std::uint32_t* ids) {
-  for (std::size_t k = begin; k < end; ++k) {
-    const std::size_t p = ids != nullptr ? ids[k] : k;
+                              int* scale) {
+  for (std::size_t p = begin; p < end; ++p) {
     for (int c = 0; c < l.clv_cats; ++c) {
       const int mc = l.model_cat(p, c);
       const double* tl = lookup_left + mc * 64 + tip_left[p] * 4;
@@ -113,9 +111,8 @@ void scalar_newview_inner_inner(const RateLayout& l, std::size_t begin,
                                 const double* clv_right,
                                 const int* scale_right,
                                 const double* pmat_right, double* clv,
-                                int* scale, const std::uint32_t* ids) {
-  for (std::size_t k = begin; k < end; ++k) {
-    const std::size_t p = ids != nullptr ? ids[k] : k;
+                                int* scale) {
+  for (std::size_t p = begin; p < end; ++p) {
     for (int c = 0; c < l.clv_cats; ++c) {
       const int mc = l.model_cat(p, c);
       double yl[4], yr[4];
@@ -492,33 +489,29 @@ void build_tip_lookup(const double* pmats, int ncat, double* lookup) {
 void newview_tip_tip(const RateLayout& layout, std::size_t begin,
                      std::size_t end, const DnaState* tip_left,
                      const DnaState* tip_right, const double* lookup_left,
-                     const double* lookup_right, double* clv, int* scale,
-                     const std::uint32_t* pattern_ids) {
+                     const double* lookup_right, double* clv, int* scale) {
   active_ops(layout).newview_tip_tip(layout, begin, end, tip_left, tip_right,
-                                     lookup_left, lookup_right, clv, scale,
-                                     pattern_ids);
+                                     lookup_left, lookup_right, clv, scale);
 }
 
 void newview_tip_inner(const RateLayout& layout, std::size_t begin,
                        std::size_t end, const DnaState* tip_left,
                        const double* lookup_left, const double* clv_right,
                        const int* scale_right, const double* pmat_right,
-                       double* clv, int* scale,
-                       const std::uint32_t* pattern_ids) {
+                       double* clv, int* scale) {
   active_ops(layout).newview_tip_inner(layout, begin, end, tip_left,
                                        lookup_left, clv_right, scale_right,
-                                       pmat_right, clv, scale, pattern_ids);
+                                       pmat_right, clv, scale);
 }
 
 void newview_inner_inner(const RateLayout& layout, std::size_t begin,
                          std::size_t end, const double* clv_left,
                          const int* scale_left, const double* pmat_left,
                          const double* clv_right, const int* scale_right,
-                         const double* pmat_right, double* clv, int* scale,
-                         const std::uint32_t* pattern_ids) {
+                         const double* pmat_right, double* clv, int* scale) {
   active_ops(layout).newview_inner_inner(
       layout, begin, end, clv_left, scale_left, pmat_left, clv_right,
-      scale_right, pmat_right, clv, scale, pattern_ids);
+      scale_right, pmat_right, clv, scale);
 }
 
 double evaluate_tip_inner(const RateLayout& layout, std::size_t begin,

@@ -17,10 +17,6 @@
 //  * Tip data are 4-bit IUPAC masks; tip "CLV" entries are 0/1 indicators.
 //  * `RateLayout` abstracts GAMMA (all categories per pattern) vs CAT (one
 //    category per pattern, chosen by pattern_cat) and carries the CLV layout.
-//  * The three newview kernels accept an optional `pattern_ids` list: when
-//    non-null, [begin, end) indexes into it and only the listed patterns are
-//    computed. This is the site-repeat hook — the engine computes one
-//    representative per repeat class and copies the rest (engine.cpp).
 //
 // Kernel family: one scalar reference implementation plus SIMD members
 // (generic baseline, AVX2, AVX-512, NEON) built from a single shared source
@@ -180,29 +176,23 @@ struct RateLayout {
 void build_tip_lookup(const double* pmats, int ncat, double* lookup);
 
 // --- newview: fill the CLV at a node from its two children ---
-//
-// When `pattern_ids` is non-null, [begin, end) indexes into it (site-repeat
-// representative lists); otherwise [begin, end) are pattern indices.
 
 void newview_tip_tip(const RateLayout& layout, std::size_t begin,
                      std::size_t end, const DnaState* tip_left,
                      const DnaState* tip_right, const double* lookup_left,
-                     const double* lookup_right, double* clv, int* scale,
-                     const std::uint32_t* pattern_ids = nullptr);
+                     const double* lookup_right, double* clv, int* scale);
 
 void newview_tip_inner(const RateLayout& layout, std::size_t begin,
                        std::size_t end, const DnaState* tip_left,
                        const double* lookup_left, const double* clv_right,
                        const int* scale_right, const double* pmat_right,
-                       double* clv, int* scale,
-                       const std::uint32_t* pattern_ids = nullptr);
+                       double* clv, int* scale);
 
 void newview_inner_inner(const RateLayout& layout, std::size_t begin,
                          std::size_t end, const double* clv_left,
                          const int* scale_left, const double* pmat_left,
                          const double* clv_right, const int* scale_right,
-                         const double* pmat_right, double* clv, int* scale,
-                         const std::uint32_t* pattern_ids = nullptr);
+                         const double* pmat_right, double* clv, int* scale);
 
 // --- evaluate: log-likelihood across an edge ---
 
@@ -270,15 +260,14 @@ namespace detail {
 struct KernelOps {
   void (*newview_tip_tip)(const RateLayout&, std::size_t, std::size_t,
                           const DnaState*, const DnaState*, const double*,
-                          const double*, double*, int*, const std::uint32_t*);
+                          const double*, double*, int*);
   void (*newview_tip_inner)(const RateLayout&, std::size_t, std::size_t,
                             const DnaState*, const double*, const double*,
-                            const int*, const double*, double*, int*,
-                            const std::uint32_t*);
+                            const int*, const double*, double*, int*);
   void (*newview_inner_inner)(const RateLayout&, std::size_t, std::size_t,
                               const double*, const int*, const double*,
                               const double*, const int*, const double*,
-                              double*, int*, const std::uint32_t*);
+                              double*, int*);
   double (*evaluate_tip_inner)(const RateLayout&, std::size_t, std::size_t,
                                const double*, const DnaState*, const double*,
                                const double*, const int*, const int*,
@@ -300,9 +289,8 @@ struct KernelOps {
 };
 
 // The scalar reference table (kernels.cpp); always available. SIMD members
-// delegate awkward subranges to it — unaligned block edges, scattered
-// repeat-id lists under the blocked layout — which is bitwise-safe because
-// every member keeps the scalar per-lane operation order.
+// delegate unaligned block edges to it, which is bitwise-safe because every
+// member keeps the scalar per-lane operation order.
 [[nodiscard]] const KernelOps* ops_scalar();
 
 // Implemented in the per-ISA TUs; returns nullptr when not compiled in.

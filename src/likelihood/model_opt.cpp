@@ -83,9 +83,6 @@ double LikelihoodEngine::optimize_cat_rates(Tree& tree) {
   for (const double r : grid) {
     rates_.set_categories({r}, std::vector<int>(npat, 0));
     ++model_epoch_;
-    // The probe collapses every pattern into category 0; CAT repeat classes
-    // fold in the per-pattern category, so they must be rebuilt too.
-    ++cat_epoch_;
     per_pattern_lnl(tree, per_pattern);
     for (std::size_t p = 0; p < npat; ++p) {
       if (per_pattern[p] > best_lnl[p]) {
@@ -103,9 +100,6 @@ double LikelihoodEngine::optimize_cat_rates(Tree& tree) {
   lookup_a_.resize(ncat * 64);
   lookup_b_.resize(ncat * 64);
   ++model_epoch_;
-  // Same as set_cat_assignment: the reassignment invalidates every CAT
-  // repeat class array, not just the CLVs.
-  ++cat_epoch_;
   return evaluate(tree);
 }
 

@@ -199,10 +199,6 @@ const char* counter_name(Counter c) {
       return "comm_ring_stall_ns";
     case Counter::kKernelFallback:
       return "kernel_fallbacks";
-    case Counter::kRepeatPatternsComputed:
-      return "repeat_patterns_computed";
-    case Counter::kRepeatPatternsCopied:
-      return "repeat_patterns_copied";
     case Counter::kCount:
       break;
   }

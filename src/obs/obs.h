@@ -87,10 +87,6 @@ enum class Counter : int {
                          // reference (layout unsupported, e.g. ncat_model >
                          // kMaxCatMatrices) — benches watch this to avoid
                          // measuring the wrong kernel
-  kRepeatPatternsComputed,  // site-repeat newview: representative patterns
-                            // actually computed
-  kRepeatPatternsCopied,    // site-repeat newview: patterns served by
-                            // copying their class representative
   kCount
 };
 inline constexpr int kNumCounters = static_cast<int>(Counter::kCount);

@@ -25,8 +25,12 @@
 namespace raxh::mpi {
 namespace {
 
+// gtest prints a param that has no PrintTo as its raw bytes, and CTest bakes
+// that text into the discovered test names. Every field is 4 bytes wide so
+// the struct has no padding: padding bytes hold stale heap residue, which
+// would make the names change from one build to the next.
 struct Cfg {
-  bool processes;
+  std::int32_t processes;  // 0 = thread ranks, 1 = process ranks
   Transport transport;
   CollectiveAlgo algo;
   int nranks;

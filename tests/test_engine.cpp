@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 
 #include "bio/patterns.h"
@@ -376,6 +377,61 @@ TEST(Engine, NewviewCountGrowsWithWork) {
   engine.invalidate_all();
   engine.evaluate(*f.tree);
   EXPECT_GT(engine.newview_count(), first);
+}
+
+TEST(Engine, CrewSplitIsBitwiseInvisible) {
+  // Low divergence: compress() puts the heavy constant columns first, so a
+  // weight-balanced cut and an even stripe of the patterns differ most here.
+  // Newview and sumtable results are per pattern, so how the crew splits
+  // them must not move a bit; the reductions keep the weighted cut as their
+  // fixed summation grouping, pinned by the hex literals at T=2.
+  SimConfig cfg;
+  cfg.taxa = 10;
+  cfg.distinct_sites = 400;
+  cfg.total_sites = 1200;
+  cfg.seed = 211;
+  cfg.mean_branch_length = 0.01;
+  const auto sim = simulate_alignment(cfg);
+  const auto patterns = PatternAlignment::compress(sim.alignment);
+  GtrParams gtr;
+  gtr.freqs = patterns.empirical_frequencies();
+  gtr.rates = {1.2, 2.8, 0.9, 1.4, 3.1, 1.0};
+  const Tree tree = Tree::parse_newick(sim.true_tree_newick, patterns.names());
+  Lcg rng(97);
+  const std::vector<int> boot = bootstrap_weights(patterns, rng);
+  const std::size_t npat = patterns.num_patterns();
+
+  const auto per_pattern = [&](int threads, bool reweight) {
+    Workforce crew(threads);
+    LikelihoodEngine engine(patterns, gtr, RateModel::gamma(0.6), &crew);
+    if (reweight) engine.set_weights(boot);
+    std::vector<double> out(npat);
+    engine.per_pattern_lnl(tree, out);
+    return out;
+  };
+  for (const bool reweight : {false, true}) {
+    const std::vector<double> want = per_pattern(1, reweight);
+    for (const int threads : {2, 3}) {
+      const std::vector<double> got = per_pattern(threads, reweight);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), npat * sizeof(double)), 0)
+          << threads << " threads, reweight " << reweight;
+    }
+  }
+
+  Workforce crew(2);
+  LikelihoodEngine engine(patterns, gtr, RateModel::gamma(0.6), &crew);
+  const double lnl = engine.evaluate(tree);
+  engine.prepare_branch(tree, 5);
+  const kern::Derivatives d = engine.branch_derivatives(0.05);
+  engine.set_weights(boot);
+  const double boot_lnl = engine.evaluate(tree);
+  // The T=1 sums differ from these in the last bits, so the literals also
+  // pin the reductions' weighted-cut grouping.
+  EXPECT_EQ(lnl, -0x1.bbcb518ce939ap+11);
+  EXPECT_EQ(d.lnl, -0x1.bc90beb402522p+11);
+  EXPECT_EQ(d.d1, -0x1.bbf65e5f3f62ap+8);
+  EXPECT_EQ(d.d2, -0x1.2c6b281f691dp+13);
+  EXPECT_EQ(boot_lnl, -0x1.b4f87a01fad84p+11);
 }
 
 }  // namespace

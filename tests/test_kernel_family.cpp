@@ -4,8 +4,7 @@
 // [WRN] + kKernelFallback obs counter), and bitwise agreement of every
 // compiled-and-supported member with the scalar reference across layouts
 // (pattern-major / blocked), rate models (GAMMA / CAT), the full
-// newview/evaluate/sumtable/derivative trio, and scattered site-repeat id
-// lists.
+// newview/evaluate/sumtable/derivative trio.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -54,7 +53,7 @@ struct ChainOut {
   kern::Derivatives d;
 };
 
-ChainOut run_chain(const Shape& sh, const std::vector<std::uint32_t>& ids) {
+ChainOut run_chain(const Shape& sh) {
   const std::size_t npat = sh.npat;
   const int ncat = sh.gamma ? 4 : 5;
 
@@ -107,9 +106,6 @@ ChainOut run_chain(const Shape& sh, const std::vector<std::uint32_t>& ids) {
   std::vector<double> cat_rates(ncat);
   for (int c = 0; c < ncat; ++c) cat_rates[c] = 0.2 + 0.6 * c;
 
-  const std::uint32_t* idp = ids.empty() ? nullptr : ids.data();
-  const std::size_t nv_end = ids.empty() ? npat : ids.size();
-
   ChainOut o;
   o.clv1.assign(stride, 0.0);
   o.clv2.assign(stride, 0.0);
@@ -122,14 +118,14 @@ ChainOut run_chain(const Shape& sh, const std::vector<std::uint32_t>& ids) {
   o.s2.assign(npat, 0);
   o.s3.assign(npat, 0);
 
-  kern::newview_tip_tip(l, 0, nv_end, tipA.data(), tipB.data(), lk1.data(),
-                        lk2.data(), o.clv1.data(), o.s1.data(), idp);
-  kern::newview_tip_inner(l, 0, nv_end, tipC.data(), lk3.data(), o.clv1.data(),
+  kern::newview_tip_tip(l, 0, npat, tipA.data(), tipB.data(), lk1.data(),
+                        lk2.data(), o.clv1.data(), o.s1.data());
+  kern::newview_tip_inner(l, 0, npat, tipC.data(), lk3.data(), o.clv1.data(),
                           o.s1.data(), pmat2.data(), o.clv2.data(),
-                          o.s2.data(), idp);
-  kern::newview_inner_inner(l, 0, nv_end, o.clv1.data(), o.s1.data(),
+                          o.s2.data());
+  kern::newview_inner_inner(l, 0, npat, o.clv1.data(), o.s1.data(),
                             pmat1.data(), o.clv2.data(), o.s2.data(),
-                            pmat3.data(), o.clv3.data(), o.s3.data(), idp);
+                            pmat3.data(), o.clv3.data(), o.s3.data());
   o.lnl_ti = kern::evaluate_tip_inner(l, 0, npat, freqs, tipA.data(),
                                       lk1.data(), o.clv3.data(), o.s3.data(),
                                       weights.data(), o.pp_ti.data());
@@ -175,37 +171,15 @@ TEST(KernelFamily, ParityAcrossLayoutsAndModels) {
   for (const auto& sh : shapes) {
     const ChainOut want = [&] {
       ScopedIsa guard(kern::KernelIsa::kScalar);
-      return run_chain(sh, {});
+      return run_chain(sh);
     }();
     for (const auto isa : simd_isas()) {
       ScopedIsa guard(isa);
-      const ChainOut got = run_chain(sh, {});
+      const ChainOut got = run_chain(sh);
       expect_bitwise(got, want,
                      std::string(kern::kernel_isa_name(isa)) +
                          (sh.blocked ? " blocked" : " pattern-major") +
                          (sh.gamma ? " GAMMA" : " CAT"));
-    }
-  }
-}
-
-TEST(KernelFamily, ParityOnScatteredRepeatIds) {
-  // Site-repeat representative lists: newview computes only the listed
-  // patterns; every member must agree bitwise on exactly those (the rest
-  // stay zero on both sides).
-  const std::vector<std::uint32_t> ids = {0,  3,  4,  5,  11, 12,
-                                          13, 14, 15, 16, 20, 36};
-  for (const bool blocked : {false, true}) {
-    const Shape sh{true, blocked, 37};
-    const ChainOut want = [&] {
-      ScopedIsa guard(kern::KernelIsa::kScalar);
-      return run_chain(sh, ids);
-    }();
-    for (const auto isa : simd_isas()) {
-      ScopedIsa guard(isa);
-      const ChainOut got = run_chain(sh, ids);
-      expect_bitwise(got, want,
-                     std::string(kern::kernel_isa_name(isa)) + " ids " +
-                         (blocked ? "blocked" : "pattern-major"));
     }
   }
 }

@@ -8,8 +8,7 @@
 // -mean-branch scales the generating tree's branch lengths (default 0.12
 // expected substitutions/site). Small values (~0.02) produce low-divergence,
 // duplicate-heavy alignments — columns that agree within whole subtrees —
-// which is the regime where the engine's site-repeat caching shines
-// (bench_kernels' repeats gate uses exactly such an alignment).
+// whose heavy constant patterns stress the crew's pattern split.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
