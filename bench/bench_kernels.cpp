@@ -3,14 +3,13 @@
 // the calibration inputs behind the performance model's assumption that
 // search-unit cost is proportional to the pattern count.
 //
-// Before the gbench suites, a kernel x CLV-layout matrix runs a
-// full-retraversal evaluate for every family member and reports the gated
-// headline speedup in BENCH_kernels.json: dispatched member + blocked layout
-// vs scalar + pattern-major on a GAMMA newview-heavy workload (gate: >= 1.5x).
+// Before the gbench suites, a kernel-member table runs a full-retraversal
+// evaluate for every supported family member and reports the gated headline
+// speedup in BENCH_kernels.json: the best member vs the scalar reference on
+// a GAMMA newview-heavy workload (gate: >= 1.5x).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -107,7 +106,7 @@ void BM_CatRateOptimization(benchmark::State& state) {
 BENCHMARK(BM_CatRateOptimization)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// kernel x layout matrix (gated headline speedup)
+// kernel-member table (gated headline speedup)
 // ---------------------------------------------------------------------------
 
 struct MatrixDataset {
@@ -156,15 +155,12 @@ double time_full_eval_ms(LikelihoodEngine& engine, Tree& tree) {
 
 struct Cell {
   kern::KernelIsa isa;
-  bool blocked;
   double ms;
 };
 
-// The CLV layout is chosen at engine construction from RAXH_CLV_LAYOUT, so
-// each cell constructs a fresh engine under the right env + kernel member.
-double run_cell(const MatrixDataset& d, kern::KernelIsa isa, bool blocked) {
+// Each cell constructs a fresh engine under its kernel member.
+double run_cell(const MatrixDataset& d, kern::KernelIsa isa) {
   if (!kern::set_kernel_isa(isa)) return -1.0;
-  setenv("RAXH_CLV_LAYOUT", blocked ? "blocked" : "pattern-major", 1);
   LikelihoodEngine engine(d.patterns, d.gtr, RateModel::gamma(0.7));
   Tree t = *d.tree;
   return time_full_eval_ms(engine, t);
@@ -186,7 +182,7 @@ std::string run_kernel_matrix() {
   }
 
   raxh::bench::print_header(
-      "kernel x layout matrix (full-retraversal evaluate)",
+      "kernel members (full-retraversal evaluate)",
       "Sec. 3 kernel-level SIMD");
   std::printf("family: %s | dispatched: %s\n\n",
               kern::kernel_isa_list().c_str(),
@@ -196,36 +192,31 @@ std::string run_kernel_matrix() {
   const MatrixDataset gamma = make_dataset(1024, 24, 99);
 
   std::vector<Cell> cells;
-  for (const auto isa : members)
-    for (const bool blocked : {false, true})
-      cells.push_back({isa, blocked, run_cell(gamma, isa, blocked)});
+  for (const auto isa : members) cells.push_back({isa, run_cell(gamma, isa)});
 
-  // Restore process-wide defaults before the gbench suites run.
-  unsetenv("RAXH_CLV_LAYOUT");
+  // Restore the process-wide member before the gbench suites run.
   kern::set_kernel_isa(dispatched);
 
-  auto find_ms = [&](kern::KernelIsa isa, bool blocked) {
+  auto find_ms = [&](kern::KernelIsa isa) {
     for (const auto& c : cells)
-      if (c.isa == isa && c.blocked == blocked) return c.ms;
+      if (c.isa == isa) return c.ms;
     return -1.0;
   };
   const kern::KernelIsa best = kern::best_kernel_isa();
-  const double scalar_pm = find_ms(kern::KernelIsa::kScalar, false);
-  const double best_blocked = find_ms(best, true);
-  const double simd_speedup = best_blocked > 0.0 ? scalar_pm / best_blocked : 0.0;
+  const double scalar_ms = find_ms(kern::KernelIsa::kScalar);
+  const double best_ms = find_ms(best);
+  const double simd_speedup = best_ms > 0.0 ? scalar_ms / best_ms : 0.0;
   const bool gate_simd = simd_speedup >= 1.5;
 
-  std::string csv = "kernels,layout,eval_ms,speedup_vs_scalar_pm\n";
+  std::string csv = "kernels,eval_ms,speedup_vs_scalar\n";
   for (const auto& c : cells) {
-    const char* layout = c.blocked ? "blocked" : "pattern-major";
-    const double speedup = c.ms > 0.0 ? scalar_pm / c.ms : 0.0;
-    std::printf("  %-8s %-13s  %8.3f ms  (%.2fx)\n",
-                kern::kernel_isa_name(c.isa), layout, c.ms, speedup);
-    csv += std::string(kern::kernel_isa_name(c.isa)) + ',' + layout + ',' +
-           fmt(c.ms) + ',' + fmt(speedup) + '\n';
+    const double speedup = c.ms > 0.0 ? scalar_ms / c.ms : 0.0;
+    std::printf("  %-8s  %8.3f ms  (%.2fx)\n", kern::kernel_isa_name(c.isa),
+                c.ms, speedup);
+    csv += std::string(kern::kernel_isa_name(c.isa)) + ',' + fmt(c.ms) + ',' +
+           fmt(speedup) + '\n';
   }
-  std::printf("\n  [GATE] simd   %s + blocked vs scalar + pattern-major: "
-              "%.2fx (>= 1.5x required) %s\n\n",
+  std::printf("\n  [GATE] simd   %s vs scalar: %.2fx (>= 1.5x required) %s\n\n",
               kern::kernel_isa_name(best), simd_speedup,
               gate_simd ? "PASS" : "FAIL");
   raxh::bench::write_output("kernel_matrix.csv", csv);
@@ -234,9 +225,8 @@ std::string run_kernel_matrix() {
   for (const auto& c : cells) {
     if (!matrix_json.empty()) matrix_json += ',';
     matrix_json += std::string("{\"kernels\":\"") +
-                   kern::kernel_isa_name(c.isa) + "\",\"layout\":\"" +
-                   (c.blocked ? "blocked" : "pattern-major") +
-                   "\",\"eval_ms\":" + fmt(c.ms) + '}';
+                   kern::kernel_isa_name(c.isa) + "\",\"eval_ms\":" +
+                   fmt(c.ms) + '}';
   }
   return "\"simd_speedup\":" + fmt(simd_speedup) +
          ",\"gate_simd_1p5x\":" + (gate_simd ? "true" : "false") +

@@ -20,9 +20,8 @@
 //   -m <model>   GTRCAT | GTRGAMMA (search model)     [GTRCAT-style default]
 //   --kernels=NAME  likelihood kernel family member: auto (default; best
 //                   CPUID-supported member) | scalar | generic | neon |
-//                   avx2 | avx512. RAXH_KERNELS sets the same override.
-//   -simd <on|off|auto>  legacy alias: off = --kernels=scalar, on/auto =
-//                   best member (the default)
+//                   avx512. RAXH_KERNELS supplies the default value; an
+//                   unknown or unrunnable member exits 2 either way.
 //
 // minimpi runtime (src/minimpi/):
 //   --collectives=ALG     star | tree: collective routing. tree (default)
@@ -120,8 +119,7 @@ void usage(const char* prog) {
       "          [--log-level=error|warn|info|debug] [--blackbox=off]\n"
       "          [--blackbox-dir=DIR] [--blackbox-dump]\n"
       "          [--collectives=star|tree] [--transport=socketpair|shm]\n"
-      "          [--kernels=auto|scalar|generic|neon|avx2|avx512]\n"
-      "          [-simd on|off|auto]\n"
+      "          [--kernels=auto|scalar|generic|neon|avx512]\n"
       "          [--connect=SOCKET|host:port]  (run -f a on a raxhd daemon)\n"
       "modes: a=comprehensive (default), d=multi-start ML, b=bootstrap only,\n"
       "       x=adaptive bootstrap (FC bootstopping), e=evaluate topology\n",
@@ -150,6 +148,36 @@ bool comm_options_from_cli(const CliParser& cli, mpi::CommOptions* out) {
     std::fprintf(stderr,
                  "error: --transport=%s: expected socketpair or shm\n",
                  transport.c_str());
+    return false;
+  }
+  return true;
+}
+
+// --- kernel family member (--kernels=NAME, default $RAXH_KERNELS) ---
+
+bool kernels_from_cli(const CliParser& cli) {
+  const char* source = "--kernels";
+  std::string name;
+  if (cli.has("-kernels")) {
+    name = cli.value_or("-kernels", "");
+  } else if (const char* env = std::getenv("RAXH_KERNELS");
+             env != nullptr && *env != '\0') {
+    source = "RAXH_KERNELS";
+    name = env;
+  } else {
+    return true;  // CPUID pick
+  }
+  kern::KernelIsa isa{};
+  if (!kern::parse_kernel_isa(name, &isa)) {
+    std::fprintf(stderr, "error: %s=%s: expected auto or one of: %s\n",
+                 source, name.c_str(), kern::kernel_isa_list().c_str());
+    return false;
+  }
+  if (!kern::set_kernel_isa(isa)) {
+    std::fprintf(stderr,
+                 "error: %s=%s is not supported on this machine "
+                 "(available: %s)\n",
+                 source, name.c_str(), kern::kernel_isa_list().c_str());
     return false;
   }
   return true;
@@ -625,6 +653,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --repeats: site repeats were removed\n");
     return 2;
   }
+  if (cli.has("simd")) {
+    std::fprintf(stderr,
+                 "error: -simd was removed; use --kernels=scalar to run the "
+                 "scalar reference\n");
+    return 2;
+  }
+  if (!kernels_from_cli(cli)) return 2;
 
   {
     const std::string lvl = cli.value_or("-log-level", "");
@@ -690,33 +725,8 @@ int main(int argc, char** argv) {
                 patterns.num_taxa(), patterns.num_sites(),
                 patterns.num_patterns());
 
-    // Kernel selection: --kernels=NAME picks a family member explicitly;
-    // -simd on|off|auto is kept for compatibility (off = scalar reference,
-    // on/auto = best supported member, which is also the default).
-    {
-      const std::string kernels = cli.value_or("-kernels", "");
-      const std::string simd = cli.value_or("simd", "auto");
-      if (!kernels.empty()) {
-        kern::KernelIsa isa{};
-        if (!kern::parse_kernel_isa(kernels, &isa)) {
-          std::fprintf(stderr,
-                       "error: --kernels=%s: expected auto or one of: %s\n",
-                       kernels.c_str(), kern::kernel_isa_list().c_str());
-          return 2;
-        }
-        if (!kern::set_kernel_isa(isa)) {
-          std::fprintf(stderr,
-                       "error: --kernels=%s is not supported on this machine "
-                       "(available: %s)\n",
-                       kernels.c_str(), kern::kernel_isa_list().c_str());
-          return 2;
-        }
-      } else if (simd == "off") {
-        kern::set_kernel_isa(kern::KernelIsa::kScalar);
-      }
-      std::printf("raxh: %s kernels, site repeats off\n",
-                  kern::kernel_isa_name(kern::kernel_isa()));
-    }
+    std::printf("raxh: %s kernels, site repeats off\n",
+                kern::kernel_isa_name(kern::kernel_isa()));
 
     const std::string mode = cli.value_or("f", "a");
     if (mode == "a") return run_comprehensive(patterns, cli);

@@ -2,34 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/obs.h"
 #include "util/check.h"
 
 namespace raxh {
-
-namespace {
-
-// Blocked SoA is the default wherever every pattern stores the same
-// categories (GAMMA / uniform); CAT's per-pattern category selects a
-// different P matrix per lane, which the blocked kernels don't support.
-kern::ClvLayout choose_layout(RateKind kind, std::size_t npat) {
-  kern::ClvLayout layout = (kind != RateKind::kCat && npat >= kern::kBlockLanes)
-                               ? kern::ClvLayout::kBlocked
-                               : kern::ClvLayout::kPatternMajor;
-  if (const char* env = std::getenv("RAXH_CLV_LAYOUT");
-      env != nullptr && *env != '\0') {
-    if (std::strcmp(env, "pattern-major") == 0)
-      layout = kern::ClvLayout::kPatternMajor;
-    else if (std::strcmp(env, "blocked") == 0 && kind != RateKind::kCat)
-      layout = kern::ClvLayout::kBlocked;
-  }
-  return layout;
-}
-
-}  // namespace
 
 LikelihoodEngine::LikelihoodEngine(const PatternAlignment& patterns,
                                    const GtrParams& gtr, RateModel rates,
@@ -46,7 +23,6 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& patterns,
   reset_weights();
 
   const std::size_t slots = patterns_->num_taxa() - 2;
-  clv_layout_ = choose_layout(rates_.kind(), npat);
   clv_stride_ = layout().clv_stride(npat);
   clvs_.resize(slots * clv_stride_);
   scales_.resize(slots * npat);
@@ -78,11 +54,6 @@ kern::RateLayout LikelihoodEngine::layout() const {
   if (rates_.kind() == RateKind::kCat)
     l.pattern_cat = rates_.pattern_categories().data();
   if (rates_.kind() == RateKind::kGamma) l.cat_weights = cat_weights_.data();
-  l.clv_layout = clv_layout_;
-  l.padded_patterns = clv_layout_ == kern::ClvLayout::kBlocked
-                          ? kern::RateLayout::padded_rows(
-                                patterns_->num_patterns())
-                          : patterns_->num_patterns();
   return l;
 }
 

@@ -2,7 +2,9 @@
 // Tree, lazily recomputed and striped across the thread crew. This is the
 // substrate both the serial and the fine-grained parallel code paths of the
 // reproduction share — with a crew of T threads it is RAxML's Pthreads mode,
-// with T=1 it is the serial code.
+// with T=1 it is the serial code. CLVs are stored pattern-major (see
+// kernels.h), one slot per inner node in a single 64-byte-aligned buffer,
+// and every kernel family member reads them in that one layout.
 //
 // CLV validity is *self-checking*: each internal node slot remembers which
 // directed record it is oriented to, which children (and branch lengths, and
@@ -93,12 +95,6 @@ class LikelihoodEngine {
   // Number of newview kernel invocations so far (calibration + tests).
   [[nodiscard]] std::uint64_t newview_count() const { return newview_count_; }
 
-  // CLV storage layout chosen at construction: blocked SoA for GAMMA /
-  // uniform rates (vector loads across pattern lanes), pattern-major for CAT
-  // (per-pattern categories break lane uniformity). RAXH_CLV_LAYOUT=
-  // pattern-major|blocked overrides (blocked is ignored for CAT).
-  [[nodiscard]] kern::ClvLayout clv_layout() const { return clv_layout_; }
-
   // Sum over patterns of the combined scale counts at edge `rec`'s CLV
   // endpoints (tips contribute zero; ensures the CLVs first). Tests use this
   // to prove a deep tree actually rescales before relying on scale-corrected
@@ -163,8 +159,7 @@ class LikelihoodEngine {
   std::vector<std::size_t> part_bounds_;
   std::uint64_t part_epoch_ = ~std::uint64_t{0};
 
-  kern::ClvLayout clv_layout_ = kern::ClvLayout::kPatternMajor;
-  std::size_t clv_stride_ = 0;  // doubles per slot (padded under blocked)
+  std::size_t clv_stride_ = 0;  // doubles per slot
   AlignedVector<double> clvs_;  // 64-byte aligned for the SIMD members
   std::vector<int> scales_;
   std::vector<SlotMeta> slots_;

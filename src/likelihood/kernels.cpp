@@ -1,14 +1,12 @@
-// Kernel family core: the scalar reference implementation (any layout, any
-// category count — the member every other one must match bitwise), CPUID
-// member selection, and the dispatch layer behind the public kernels.h
-// functions. SIMD members live in kernels_impl.inl, compiled once per ISA
-// (kernels_generic.cpp / kernels_avx2.cpp / kernels_avx512.cpp /
-// kernels_neon.cpp).
+// Kernel family core: the scalar reference implementation (any category
+// count — the member every other one must match bitwise), CPUID member
+// selection, and the dispatch layer behind the public kernels.h functions.
+// SIMD members live in kernels_impl.inl, compiled once per ISA
+// (kernels_generic.cpp / kernels_avx512.cpp / kernels_neon.cpp).
 #include "likelihood/kernels.h"
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/obs.h"
 #include "util/log.h"
@@ -20,10 +18,7 @@ namespace {
 constexpr double kMinLikelihood = 1e-300;
 
 // -------------------------------------------------------------------------
-// Scalar reference kernels. Layout-generic through RateLayout::clv_index;
-// for the pattern-major layout the index math constant-folds to the classic
-// [(p*cc + c)*4 + s] addressing, so this is exactly the historical scalar
-// path there.
+// Scalar reference kernels, addressing CLVs through RateLayout::clv_index.
 // -------------------------------------------------------------------------
 
 // x[i] = sum_{j in mask} P[i][j] for a full 4x4 row-major P.
@@ -266,14 +261,6 @@ constexpr detail::KernelOps kScalarOps = {
     scalar_edge_sumtable_inner_inner, scalar_nr_derivatives,
 };
 
-}  // namespace
-
-namespace detail {
-const KernelOps* ops_scalar() { return &kScalarOps; }
-}  // namespace detail
-
-namespace {
-
 // -------------------------------------------------------------------------
 // Member selection
 // -------------------------------------------------------------------------
@@ -282,7 +269,6 @@ const detail::KernelOps* ops_for(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kGeneric: return detail::ops_generic();
     case KernelIsa::kNeon: return detail::ops_neon();
-    case KernelIsa::kAvx2: return detail::ops_avx2();
     case KernelIsa::kAvx512: return detail::ops_avx512();
     default: return &kScalarOps;
   }
@@ -299,12 +285,6 @@ bool cpu_can_run(KernelIsa isa) {
 #else
       return false;
 #endif
-    case KernelIsa::kAvx2:
-#if defined(__x86_64__) && defined(__GNUC__)
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
     case KernelIsa::kAvx512:
 #if defined(__x86_64__) && defined(__GNUC__)
       return __builtin_cpu_supports("avx512f") != 0 &&
@@ -317,29 +297,14 @@ bool cpu_can_run(KernelIsa isa) {
   }
 }
 
-// Active member; -1 = not yet initialized (first kernel_isa() call applies
-// the RAXH_KERNELS environment override or the CPUID pick).
+// Active member; -1 = not yet initialized (the first kernel_isa() call
+// stores the CPUID pick).
 std::atomic<int> g_isa{-1};
 std::atomic<std::uint64_t> g_fallbacks{0};
 
 KernelIsa init_isa() {
-  KernelIsa pick = best_kernel_isa();
-  if (const char* env = std::getenv("RAXH_KERNELS");
-      env != nullptr && *env != '\0') {
-    KernelIsa parsed;
-    if (!parse_kernel_isa(env, &parsed)) {
-      log_warn("kernels: RAXH_KERNELS=%s is not a known member (%s); using %s",
-               env, kernel_isa_list().c_str(), kernel_isa_name(pick));
-    } else if (!kernel_isa_supported(parsed)) {
-      log_warn("kernels: RAXH_KERNELS=%s is unsupported on this machine; "
-               "using %s",
-               env, kernel_isa_name(pick));
-    } else {
-      pick = parsed;
-    }
-  }
   int expected = -1;
-  g_isa.compare_exchange_strong(expected, static_cast<int>(pick),
+  g_isa.compare_exchange_strong(expected, static_cast<int>(best_kernel_isa()),
                                 std::memory_order_relaxed);
   return static_cast<KernelIsa>(g_isa.load(std::memory_order_relaxed));
 }
@@ -353,11 +318,11 @@ void note_fallback(const RateLayout& l) {
   static std::atomic<bool> warned{false};
   if (!warned.exchange(true, std::memory_order_relaxed)) {
     log_warn(
-        "kernels: layout (ncat_model=%d, %s%s) unsupported by the %s member; "
+        "kernels: layout (ncat_model=%d%s) unsupported by the %s member; "
         "falling back to the scalar reference for such calls (max staged "
         "category matrices: %d). This warning fires once; the "
         "kernel_fallbacks counter keeps counting.",
-        l.ncat_model, clv_layout_name(l.clv_layout),
+        l.ncat_model,
         l.pattern_cat != nullptr ? ", per-pattern categories" : "",
         kernel_isa_name(kernel_isa()), kMaxCatMatrices);
   }
@@ -369,10 +334,7 @@ void note_fallback(const RateLayout& l) {
 inline const detail::KernelOps& active_ops(const RateLayout& l) {
   const KernelIsa isa = kernel_isa();
   if (isa == KernelIsa::kScalar) return kScalarOps;
-  const bool simd_ok =
-      l.ncat_model <= kMaxCatMatrices &&
-      !(l.clv_layout == ClvLayout::kBlocked && l.pattern_cat != nullptr);
-  if (!simd_ok) {
+  if (l.ncat_model > kMaxCatMatrices) {
     note_fallback(l);
     return kScalarOps;
   }
@@ -386,14 +348,9 @@ const char* kernel_isa_name(KernelIsa isa) {
     case KernelIsa::kScalar: return "scalar";
     case KernelIsa::kGeneric: return "generic";
     case KernelIsa::kNeon: return "neon";
-    case KernelIsa::kAvx2: return "avx2";
     case KernelIsa::kAvx512: return "avx512";
     default: return "?";
   }
-}
-
-const char* clv_layout_name(ClvLayout layout) {
-  return layout == ClvLayout::kBlocked ? "blocked" : "pattern-major";
 }
 
 bool kernel_isa_compiled(KernelIsa isa) {

@@ -5,28 +5,22 @@
 // dispatch.
 //
 // Conventions:
-//  * CLVs come in two storage layouts (ClvLayout below). Pattern-major AoS:
-//    clv[((p * clv_cats) + c) * 4 + state]. Blocked SoA: patterns are grouped
-//    into blocks of kBlockLanes, states/categories are planes within a block
-//    and the pattern is the fastest (lane) dimension:
-//    clv[(p / L) * clv_cats * 4 * L + (c * 4 + state) * L + p % L] — one
-//    contiguous, 64-byte-aligned vector load covers L patterns of one
-//    (category, state) plane. Either way values are scaled by
-//    2^(-256 * ... ) — more precisely by kScaleFactor^scale[p] — to dodge
-//    underflow.
+//  * CLVs are pattern-major: clv[((p * clv_cats) + c) * 4 + state], so the
+//    4 states of one (pattern, category) are one contiguous vector. Values
+//    are scaled by kScaleFactor^scale[p] to dodge underflow.
 //  * Tip data are 4-bit IUPAC masks; tip "CLV" entries are 0/1 indicators.
 //  * `RateLayout` abstracts GAMMA (all categories per pattern) vs CAT (one
-//    category per pattern, chosen by pattern_cat) and carries the CLV layout.
+//    category per pattern, chosen by pattern_cat).
 //
 // Kernel family: one scalar reference implementation plus SIMD members
-// (generic baseline, AVX2, AVX-512, NEON) built from a single shared source
+// (generic baseline, AVX-512, NEON) built from a single shared source
 // (kernels_impl.inl) compiled per-ISA. Every member keeps the scalar
 // operation order per lane and is compiled without FMA contraction, so all
 // members produce BITWISE-identical results on a given host — asserted by
 // tests/test_simd.cpp and tests/test_kernel_family.cpp. The active member is
 // selected by CPUID at startup (best supported wins) and can be overridden
-// with set_kernel_isa(), the RAXH_KERNELS environment variable, or the
-// `--kernels=` CLI flag.
+// with set_kernel_isa() or raxh's `--kernels=` flag (RAXH_KERNELS is that
+// flag's default value).
 #pragma once
 
 #include <cstddef>
@@ -56,16 +50,15 @@ inline constexpr double kLogScaleFactor = 332.7106466687737;
 // Implementation members, ordered worst-to-best so best_kernel_isa() can
 // pick the highest supported one.
 enum class KernelIsa : int {
-  kScalar = 0,  // reference loops; always available, any layout
+  kScalar = 0,  // reference loops; always available
   kGeneric,     // GCC vector extensions at the build's baseline arch
   kNeon,        // aarch64 Advanced SIMD
-  kAvx2,        // x86-64 with 256-bit vectors
   kAvx512,      // x86-64 with 512-bit vectors (F+VL)
   kCount
 };
 inline constexpr int kNumKernelIsas = static_cast<int>(KernelIsa::kCount);
 
-// Stable lowercase name ("scalar", "generic", "neon", "avx2", "avx512").
+// Stable lowercase name ("scalar", "generic", "neon", "avx512").
 [[nodiscard]] const char* kernel_isa_name(KernelIsa isa);
 
 // True if the member's translation unit was built into this binary.
@@ -82,25 +75,24 @@ inline constexpr int kNumKernelIsas = static_cast<int>(KernelIsa::kCount);
 // meant to be toggled concurrently with running kernels.
 bool set_kernel_isa(KernelIsa isa);
 
-// The effective active member. First call applies the RAXH_KERNELS
-// environment override (falling back to best_kernel_isa() when unset,
-// unparseable, or unsupported — with a one-time [WRN] in the latter cases).
+// The effective active member: best_kernel_isa() until set_kernel_isa()
+// picks another.
 [[nodiscard]] KernelIsa kernel_isa();
 
-// Parse "scalar" | "generic" | "neon" | "avx2" | "avx512" | "auto"
+// Parse "scalar" | "generic" | "neon" | "avx512" | "auto"
 // (case-sensitive). "auto" yields best_kernel_isa(). Returns false on
 // unknown names.
 bool parse_kernel_isa(std::string_view name, KernelIsa* out);
 
 // Space-separated list of members with availability markers, e.g.
-// "scalar generic avx2 (avx512: unsupported on this cpu)" — for --help and
+// "scalar generic (neon: not compiled in) avx512" — for --help and
 // error messages.
 [[nodiscard]] std::string kernel_isa_list();
 
-// `"kernel":{...}` JSON fragment reporting the effective member, the default
-// CLV layout, and the fallback count — embedded in --metrics-out documents
-// and BENCH_*.json summaries so a bench can never unknowingly report numbers
-// from a different kernel than it claims.
+// `"kernel":{...}` JSON fragment reporting the effective member, the best
+// supported member, and the fallback count — embedded in --metrics-out
+// documents and BENCH_*.json summaries so a bench can never unknowingly
+// report numbers from a different kernel than it claims.
 [[nodiscard]] std::string to_json_section();
 
 // Number of times a SIMD member had to fall back to the scalar reference
@@ -115,29 +107,14 @@ bool parse_kernel_isa(std::string_view name, KernelIsa* out);
 inline constexpr int kMaxCatMatrices = 32;
 
 // ---------------------------------------------------------------------------
-// CLV storage layout
+// Rate layout
 // ---------------------------------------------------------------------------
-
-// Lane count of the blocked layout: 8 doubles = one cache line = one AVX-512
-// register. Blocked CLV rows are padded to a multiple of this.
-inline constexpr int kBlockLanes = 8;
-
-enum class ClvLayout : int {
-  kPatternMajor = 0,  // AoS: [(p * clv_cats + c) * 4 + s]
-  kBlocked,           // SoA: [(p/L * clv_cats*4 + c*4+s) * L + p%L], L = 8
-};
-[[nodiscard]] const char* clv_layout_name(ClvLayout layout);
 
 struct RateLayout {
   int ncat_model = 1;   // number of per-category P matrices / rates
   int clv_cats = 1;     // categories stored per pattern (GAMMA: ncat, CAT: 1)
   const int* pattern_cat = nullptr;  // CAT: pattern -> model category
   const double* cat_weights = nullptr;  // GAMMA: per-category weights
-
-  ClvLayout clv_layout = ClvLayout::kPatternMajor;
-  // Blocked only: CLV row length in patterns (num_patterns rounded up to a
-  // multiple of kBlockLanes). The engine zero-weights the padding lanes.
-  std::size_t padded_patterns = 0;
 
   // Model category of storage category c for pattern p.
   [[nodiscard]] int model_cat(std::size_t p, int c) const {
@@ -147,26 +124,13 @@ struct RateLayout {
     return cat_weights != nullptr ? cat_weights[c] : 1.0;
   }
 
-  // Index of (pattern, category, state) in a CLV/sumtable under this layout.
+  // Index of (pattern, category, state) in a CLV/sumtable.
   [[nodiscard]] std::size_t clv_index(std::size_t p, int c, int s) const {
-    if (clv_layout == ClvLayout::kPatternMajor)
-      return (p * static_cast<std::size_t>(clv_cats) + c) * 4 + s;
-    const std::size_t blk = p / kBlockLanes;
-    const std::size_t lane = p % kBlockLanes;
-    return (blk * static_cast<std::size_t>(clv_cats) * 4 +
-            static_cast<std::size_t>(c) * 4 + s) *
-               kBlockLanes +
-           lane;
+    return (p * static_cast<std::size_t>(clv_cats) + c) * 4 + s;
   }
-  // Doubles per CLV slot for `npatterns` patterns under this layout.
+  // Doubles per CLV slot for `npatterns` patterns.
   [[nodiscard]] std::size_t clv_stride(std::size_t npatterns) const {
-    const std::size_t rows = clv_layout == ClvLayout::kBlocked
-                                 ? padded_rows(npatterns)
-                                 : npatterns;
-    return rows * static_cast<std::size_t>(clv_cats) * 4;
-  }
-  [[nodiscard]] static std::size_t padded_rows(std::size_t npatterns) {
-    return (npatterns + kBlockLanes - 1) / kBlockLanes * kBlockLanes;
+    return npatterns * static_cast<std::size_t>(clv_cats) * 4;
   }
 };
 
@@ -198,8 +162,7 @@ void newview_inner_inner(const RateLayout& layout, std::size_t begin,
 
 // x side is a tip (mask + lookup built from the edge P matrices); y side is a
 // CLV. Returns the weighted lnL of the range; if per_pattern != nullptr also
-// writes each pattern's unweighted lnL (under the blocked layout the buffer
-// must cover padded_patterns entries).
+// writes each pattern's unweighted lnL.
 double evaluate_tip_inner(const RateLayout& layout, std::size_t begin,
                           std::size_t end, const double* freqs,
                           const DnaState* tip_x, const double* lookup_x,
@@ -218,8 +181,8 @@ double evaluate_inner_inner(const RateLayout& layout, std::size_t begin,
 
 // sumtable[p][c][k] = (sum_i pi_i x_i V_ik) * (sum_j Vinv_kj y_j): the edge
 // likelihood becomes L(t) = sum_k sumtable_k * exp(lambda_k * r_c * t),
-// making the branch-length derivatives analytic. The sumtable uses the same
-// storage layout as the CLVs.
+// making the branch-length derivatives analytic. The sumtable is indexed
+// like a CLV.
 void edge_sumtable_tip_inner(const RateLayout& layout, std::size_t begin,
                              std::size_t end, const double* freqs,
                              const double* vmat, const double* vinv,
@@ -288,14 +251,8 @@ struct KernelOps {
                                 double, const int*, const int*);
 };
 
-// The scalar reference table (kernels.cpp); always available. SIMD members
-// delegate unaligned block edges to it, which is bitwise-safe because every
-// member keeps the scalar per-lane operation order.
-[[nodiscard]] const KernelOps* ops_scalar();
-
 // Implemented in the per-ISA TUs; returns nullptr when not compiled in.
 [[nodiscard]] const KernelOps* ops_generic();
-[[nodiscard]] const KernelOps* ops_avx2();
 [[nodiscard]] const KernelOps* ops_avx512();
 [[nodiscard]] const KernelOps* ops_neon();
 

@@ -1,7 +1,6 @@
-// AVX-512 kernel-family member: compiled with -mavx512f -mavx512vl so a
-// blocked v8df plane is a single 512-bit register. CMake defines
-// RAXH_HAVE_KERNEL_AVX512 and adds the flags only when the compiler accepts
-// them; runtime CPUID gating lives in kernels.cpp.
+// AVX-512 kernel-family member: the shared source compiled with -mavx512f
+// -mavx512vl. CMake defines RAXH_HAVE_KERNEL_AVX512 and adds the flags only
+// when the compiler accepts them; runtime CPUID gating lives in kernels.cpp.
 #include "likelihood/kernels.h"
 
 #if defined(RAXH_HAVE_KERNEL_AVX512) && defined(__GNUC__)

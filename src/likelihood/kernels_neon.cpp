@@ -1,5 +1,5 @@
 // NEON kernel-family member: aarch64 Advanced SIMD. The shared vector-
-// extension source lowers v4df/v8df to 128-bit q-register pairs; no extra
+// extension source lowers v4df to a 128-bit q-register pair; no extra
 // flags needed since Advanced SIMD is part of the aarch64 baseline.
 #include "likelihood/kernels.h"
 

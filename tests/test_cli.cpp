@@ -3,10 +3,12 @@
 // the binary is not where the build puts it (e.g. when tests are run from an
 // unusual working directory).
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "bio/io.h"
 #include "bio/seqsim.h"
@@ -25,7 +27,11 @@ class CliSmoke : public ::testing::Test {
     binary_ = fs::absolute("../src/cli/raxh");
     if (!fs::exists(binary_)) GTEST_SKIP() << "raxh binary not found";
 
-    work_ = fs::temp_directory_path() / "raxh_cli_test";
+    // One directory per test: ctest runs the cases as parallel processes,
+    // and a shared stdout.txt would hand one case another's output.
+    work_ = fs::temp_directory_path() /
+            (std::string("raxh_cli_test_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(work_);
     alignment_ = (work_ / "data.phy").string();
 
@@ -129,6 +135,42 @@ TEST_F(CliSmoke, MissingFileFailsCleanly) {
 
 TEST_F(CliSmoke, UnknownModeFails) {
   EXPECT_NE(run("-s " + alignment_ + " -f z"), 0);
+}
+
+// Kernel selection has one spelling, --kernels, whose default comes from
+// RAXH_KERNELS; an unknown member, from either source, and the removed
+// -simd flag are usage errors (exit 2), never a silent fallback.
+TEST_F(CliSmoke, UnknownKernelMemberExitsTwo) {
+  const std::string eval = "-s " + alignment_ + " -f e -t " + true_tree_ +
+                           " -n " + (work_ / "kern").string();
+  int status = run(eval + " --kernels=avx2");
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output();
+  EXPECT_NE(output().find("--kernels=avx2"), std::string::npos) << output();
+
+  ASSERT_EQ(setenv("RAXH_KERNELS", "bogus", 1), 0);
+  status = run(eval);
+  unsetenv("RAXH_KERNELS");
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output();
+  EXPECT_NE(output().find("RAXH_KERNELS=bogus"), std::string::npos)
+      << output();
+
+  // A valid RAXH_KERNELS is the flag's default.
+  ASSERT_EQ(setenv("RAXH_KERNELS", "scalar", 1), 0);
+  status = run(eval);
+  unsetenv("RAXH_KERNELS");
+  EXPECT_EQ(status, 0) << output();
+  EXPECT_NE(output().find("raxh: scalar kernels"), std::string::npos)
+      << output();
+}
+
+TEST_F(CliSmoke, RemovedSimdFlagExitsTwo) {
+  const int status = run("-s " + alignment_ + " -f e -t " + true_tree_ +
+                         " -n " + (work_ / "simd").string() + " -simd off");
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output();
+  EXPECT_NE(output().find("--kernels=scalar"), std::string::npos) << output();
 }
 
 }  // namespace

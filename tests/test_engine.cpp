@@ -1,12 +1,15 @@
 // likelihood/: the engine validated against an independent, simple reference
 // implementation of Felsenstein pruning (no scaling, no memoization, no
-// shared code path beyond GtrModel), plus derivative checks, scaling, CLV
-// revalidation after topology changes, and serial==threaded equivalence.
+// shared code path beyond GtrModel) under every kernel member this machine
+// runs, plus derivative checks, scaling, CLV revalidation after topology
+// changes, and serial==threaded equivalence.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "bio/patterns.h"
 #include "bio/resample.h"
@@ -15,6 +18,7 @@
 #include "model/gtr.h"
 #include "model/rates.h"
 #include "parallel/workforce.h"
+#include "search/parsimony.h"
 #include "tree/tree.h"
 #include "util/prng.h"
 
@@ -24,9 +28,9 @@ namespace {
 // --- independent reference likelihood (recursion over std::vector) ---
 
 struct RefCtx {
-  const Tree* tree;
-  const PatternAlignment* patterns;
-  const GtrModel* model;
+  const Tree* tree = nullptr;
+  const PatternAlignment* patterns = nullptr;
+  const GtrModel* model = nullptr;
   std::vector<double> rates;    // category rates
   std::vector<double> weights;  // category weights (sum 1)
   const RateModel* rate_model = nullptr;  // for CAT per-pattern categories
@@ -117,33 +121,69 @@ struct Fixture {
   std::unique_ptr<Tree> tree;
 };
 
+// The fixture's true tree plus `extra` seeded random topologies with random
+// branch lengths.
+std::vector<Tree> oracle_trees(const Fixture& f, int extra) {
+  std::vector<Tree> trees{*f.tree};
+  for (int k = 0; k < extra; ++k) {
+    Lcg rng(1000 + k);
+    Tree t = random_topology(f.patterns.num_taxa(), rng);
+    for (int e : t.edges()) t.set_length(e, 0.01 + 0.5 * rng.next_double());
+    trees.push_back(std::move(t));
+  }
+  return trees;
+}
+
+// Evaluates each oracle tree under every supported kernel member and checks
+// it against the independent reference (ctx.tree is set per tree). The
+// members must also agree with each other bitwise. Restores the active
+// member.
+void expect_members_match_reference(const Fixture& f, const RateModel& rm,
+                                    RefCtx ctx) {
+  struct RestoreIsa {
+    kern::KernelIsa prev = kern::kernel_isa();
+    ~RestoreIsa() { kern::set_kernel_isa(prev); }
+  } restore;
+  for (const Tree& tree : oracle_trees(f, 4)) {
+    ctx.tree = &tree;
+    const std::string nwk = tree.to_newick(f.patterns.names());
+    double expected = 0.0, first = 0.0;
+    bool have_first = false;
+    for (int i = 0; i < kern::kNumKernelIsas; ++i) {
+      const auto isa = static_cast<kern::KernelIsa>(i);
+      if (!kern::kernel_isa_supported(isa)) continue;
+      EXPECT_TRUE(kern::set_kernel_isa(isa));
+      LikelihoodEngine engine(f.patterns, f.gtr, rm);
+      const double got = engine.evaluate(tree);
+      if (!have_first) {
+        expected = ref_lnl(ctx, engine.weights());
+        first = got;
+        have_first = true;
+      }
+      EXPECT_NEAR(got, expected, std::fabs(expected) * 1e-10)
+          << kern::kernel_isa_name(isa) << ' ' << nwk;
+      EXPECT_EQ(got, first) << kern::kernel_isa_name(isa) << ' ' << nwk;
+    }
+  }
+}
+
 TEST(Engine, MatchesReferenceUniformRates) {
   Fixture f(8, 60, 17);
-  LikelihoodEngine engine(f.patterns, f.gtr, RateModel::uniform());
-  const double got = engine.evaluate(*f.tree);
-
-  RefCtx ctx{f.tree.get(), &f.patterns, nullptr, {1.0}, {1.0}, nullptr};
   const GtrModel model(f.gtr);
-  ctx.model = &model;
-  const double expected = ref_lnl(ctx, engine.weights());
-  EXPECT_NEAR(got, expected, std::fabs(expected) * 1e-10);
+  RefCtx ctx{nullptr, &f.patterns, &model, {1.0}, {1.0}, nullptr};
+  expect_members_match_reference(f, RateModel::uniform(), ctx);
 }
 
 TEST(Engine, MatchesReferenceGamma) {
   Fixture f(7, 50, 23);
   const RateModel rm = RateModel::gamma(0.6);
-  LikelihoodEngine engine(f.patterns, f.gtr, rm);
-  const double got = engine.evaluate(*f.tree);
-
-  RefCtx ctx;
-  ctx.tree = f.tree.get();
-  ctx.patterns = &f.patterns;
   const GtrModel model(f.gtr);
+  RefCtx ctx;
+  ctx.patterns = &f.patterns;
   ctx.model = &model;
   ctx.rates.assign(rm.rates().begin(), rm.rates().end());
   ctx.weights.assign(4, 0.25);
-  const double expected = ref_lnl(ctx, engine.weights());
-  EXPECT_NEAR(got, expected, std::fabs(expected) * 1e-10);
+  expect_members_match_reference(f, rm, ctx);
 }
 
 TEST(Engine, MatchesReferenceCatWithCategories) {
@@ -154,19 +194,14 @@ TEST(Engine, MatchesReferenceCatWithCategories) {
   for (std::size_t p = 0; p < cats.size(); ++p)
     cats[p] = static_cast<int>(p % 3);
   rm.set_categories({0.2, 1.0, 2.1}, cats);
-  LikelihoodEngine engine(f.patterns, f.gtr, rm);
-  const double got = engine.evaluate(*f.tree);
-
-  RefCtx ctx;
-  ctx.tree = f.tree.get();
-  ctx.patterns = &f.patterns;
   const GtrModel model(f.gtr);
+  RefCtx ctx;
+  ctx.patterns = &f.patterns;
   ctx.model = &model;
   ctx.rates = {0.2, 1.0, 2.1};
   ctx.weights = {1.0, 1.0, 1.0};
   ctx.rate_model = &rm;
-  const double expected = ref_lnl(ctx, engine.weights());
-  EXPECT_NEAR(got, expected, std::fabs(expected) * 1e-10);
+  expect_members_match_reference(f, rm, ctx);
 }
 
 TEST(Engine, EvaluationEdgeInvariant) {

@@ -2,8 +2,8 @@
 // bugfix: set_kernel_isa must reject unsupported members instead of lying on
 // read), the loud scalar fallback past kMaxCatMatrices (S1 bugfix: one-time
 // [WRN] + kKernelFallback obs counter), and bitwise agreement of every
-// compiled-and-supported member with the scalar reference across layouts
-// (pattern-major / blocked), rate models (GAMMA / CAT), the full
+// compiled-and-supported member with the scalar reference across rate models
+// (GAMMA / CAT) and pattern counts, over the full
 // newview/evaluate/sumtable/derivative trio.
 #include <gtest/gtest.h>
 
@@ -42,8 +42,7 @@ std::vector<kern::KernelIsa> simd_isas() {
 
 struct Shape {
   bool gamma = true;   // GAMMA: ncat=4, clv_cats=4; CAT: ncat=5, clv_cats=1
-  bool blocked = false;
-  std::size_t npat = 37;  // deliberately not a multiple of kBlockLanes
+  std::size_t npat = 37;
 };
 
 struct ChainOut {
@@ -71,12 +70,7 @@ ChainOut run_chain(const Shape& sh) {
       pcat[p] = static_cast<int>(p % static_cast<std::size_t>(ncat));
     l.pattern_cat = pcat.data();
   }
-  if (sh.blocked) {
-    l.clv_layout = kern::ClvLayout::kBlocked;
-    l.padded_patterns = kern::RateLayout::padded_rows(npat);
-  }
   const std::size_t stride = l.clv_stride(npat);
-  const std::size_t pp_len = sh.blocked ? l.padded_patterns : npat;
 
   Lcg r(1234);
   auto rnd = [&r] { return 0.05 + r.next_double(); };
@@ -112,8 +106,8 @@ ChainOut run_chain(const Shape& sh) {
   o.clv3.assign(stride, 0.0);
   o.st_ti.assign(stride, 0.0);
   o.st_ii.assign(stride, 0.0);
-  o.pp_ti.assign(pp_len, 0.0);
-  o.pp_ii.assign(pp_len, 0.0);
+  o.pp_ti.assign(npat, 0.0);
+  o.pp_ii.assign(npat, 0.0);
   o.s1.assign(npat, 0);
   o.s2.assign(npat, 0);
   o.s3.assign(npat, 0);
@@ -164,10 +158,7 @@ void expect_bitwise(const ChainOut& got, const ChainOut& want,
 }
 
 TEST(KernelFamily, ParityAcrossLayoutsAndModels) {
-  // Blocked is only exercised for GAMMA: blocked + per-pattern categories is
-  // the documented loud-fallback combination (covered below).
-  const Shape shapes[] = {{true, false, 37}, {true, true, 37},
-                          {false, false, 37}, {true, true, 64}};
+  const Shape shapes[] = {{true, 37}, {false, 37}, {true, 64}, {false, 64}};
   for (const auto& sh : shapes) {
     const ChainOut want = [&] {
       ScopedIsa guard(kern::KernelIsa::kScalar);
@@ -178,8 +169,8 @@ TEST(KernelFamily, ParityAcrossLayoutsAndModels) {
       const ChainOut got = run_chain(sh);
       expect_bitwise(got, want,
                      std::string(kern::kernel_isa_name(isa)) +
-                         (sh.blocked ? " blocked" : " pattern-major") +
-                         (sh.gamma ? " GAMMA" : " CAT"));
+                         (sh.gamma ? " GAMMA " : " CAT ") +
+                         std::to_string(sh.npat));
     }
   }
 }
@@ -240,36 +231,6 @@ TEST(KernelFamily, FallbackPastMaxCatMatricesIsLoudAndCounted) {
   EXPECT_EQ(clv, want_clv);
 }
 
-TEST(KernelFamily, BlockedCatLayoutFallsBackLoudly) {
-  // The other unsupported-by-SIMD combination: blocked layout with
-  // per-pattern categories (lane-divergent P matrices).
-  const auto isas = simd_isas();
-  if (isas.empty()) GTEST_SKIP() << "no SIMD member on this build";
-
-  const std::size_t npat = 16;
-  std::vector<int> pcat(npat);
-  for (std::size_t p = 0; p < npat; ++p) pcat[p] = static_cast<int>(p % 3);
-  kern::RateLayout l;
-  l.ncat_model = 3;
-  l.clv_cats = 1;
-  l.pattern_cat = pcat.data();
-  l.clv_layout = kern::ClvLayout::kBlocked;
-  l.padded_patterns = kern::RateLayout::padded_rows(npat);
-
-  std::vector<DnaState> tipA(npat, DnaState{5}), tipB(npat, DnaState{9});
-  std::vector<double> pmat(3 * 16, 0.25);
-  std::vector<double> lookup(3 * 64);
-  kern::build_tip_lookup(pmat.data(), 3, lookup.data());
-  std::vector<double> clv(l.clv_stride(npat), 0.0);
-  std::vector<int> scale(npat, 0);
-
-  const std::uint64_t before_fb = kern::fallback_count();
-  ScopedIsa guard(isas.front());
-  kern::newview_tip_tip(l, 0, npat, tipA.data(), tipB.data(), lookup.data(),
-                        lookup.data(), clv.data(), scale.data());
-  EXPECT_EQ(kern::fallback_count(), before_fb + 1);
-}
-
 TEST(KernelFamily, SetKernelIsaRejectsUnsupported) {
   // S2 regression: selecting an unavailable member must fail loudly (false)
   // and leave the effective member unchanged — the old set_kernel_mode
@@ -283,8 +244,8 @@ TEST(KernelFamily, SetKernelIsaRejectsUnsupported) {
     EXPECT_FALSE(kern::set_kernel_isa(isa)) << kern::kernel_isa_name(isa);
     EXPECT_EQ(kern::kernel_isa(), before) << kern::kernel_isa_name(isa);
   }
-  // NEON and AVX2 cannot both be supported on one machine, so at least one
-  // member is always rejectable.
+  // NEON and AVX-512 cannot both be supported on one machine, so at least
+  // one member is always rejectable.
   EXPECT_TRUE(found_unsupported);
 
   // Supported selections stick and read back as themselves.
@@ -305,6 +266,7 @@ TEST(KernelFamily, ParseNamesAndList) {
   EXPECT_TRUE(kern::parse_kernel_isa("auto", &out));
   EXPECT_EQ(out, kern::best_kernel_isa());
   EXPECT_FALSE(kern::parse_kernel_isa("AVX2", &out));
+  EXPECT_FALSE(kern::parse_kernel_isa("avx2", &out));
   EXPECT_FALSE(kern::parse_kernel_isa("sse9", &out));
   EXPECT_NE(kern::kernel_isa_list().find("scalar"), std::string::npos);
 }

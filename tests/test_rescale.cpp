@@ -1,8 +1,8 @@
 // Rescale-boundary suite (S4): the maybe_rescale edge cases — all-zero CLVs
 // (the vmax == 0.0 early-out), patterns straddling kScaleThreshold exactly,
 // and accumulated scale counts along a deep caterpillar chain — run against
-// every member of the kernel family under both CLV layouts, asserting
-// scalar-vs-SIMD parity bitwise at exactly these edge patterns. Plus the S3
+// every member of the kernel family, asserting scalar-vs-SIMD parity
+// bitwise at exactly these edge patterns. Plus the S3
 // regression: nr_derivatives' lnl is scale-corrected, so it agrees with
 // evaluate on a tree deep enough to actually rescale.
 #include <gtest/gtest.h>
@@ -38,24 +38,19 @@ std::vector<kern::KernelIsa> family_members() {
   return out;
 }
 
-// GAMMA-4 layout over npat patterns; both storage layouts.
-kern::RateLayout gamma_layout(std::size_t npat, bool blocked,
-                              const std::vector<double>& cw) {
+// GAMMA-4 layout.
+kern::RateLayout gamma_layout(const std::vector<double>& cw) {
   kern::RateLayout l;
   l.ncat_model = 4;
   l.clv_cats = 4;
   l.cat_weights = cw.data();
-  if (blocked) {
-    l.clv_layout = kern::ClvLayout::kBlocked;
-    l.padded_patterns = kern::RateLayout::padded_rows(npat);
-  }
   return l;
 }
 
 TEST(Rescale, AllZeroClvEarlyOutsWithoutScaling) {
   // A fully-masked tip (state mask 0) zeroes the pattern's CLV; vmax == 0.0
   // must early-out: no scale increment (which would otherwise spin forever),
-  // CLV stays exactly zero. Identical across every member and layout.
+  // CLV stays exactly zero. Identical across every member.
   const std::size_t npat = 24;
   const std::vector<double> cw(4, 0.25);
   std::vector<DnaState> tipA(npat), tipB(npat);
@@ -67,38 +62,35 @@ TEST(Rescale, AllZeroClvEarlyOutsWithoutScaling) {
   std::vector<double> lookup(4 * 64);
   kern::build_tip_lookup(pmat.data(), 4, lookup.data());
 
-  for (const bool blocked : {false, true}) {
-    const auto l = gamma_layout(npat, blocked, cw);
-    std::vector<double> want_clv;
-    std::vector<int> want_scale;
-    for (const auto isa : family_members()) {
-      ScopedIsa guard(isa);
-      std::vector<double> clv(l.clv_stride(npat), -1.0);
-      std::vector<int> scale(npat, -1);
-      kern::newview_tip_tip(l, 0, npat, tipA.data(), tipB.data(),
-                            lookup.data(), lookup.data(), clv.data(),
-                            scale.data());
-      for (std::size_t p = 0; p < npat; p += 4) {
-        EXPECT_EQ(scale[p], 0) << "pattern " << p;
-        for (int c = 0; c < 4; ++c)
-          for (int s = 0; s < 4; ++s)
-            EXPECT_EQ(clv[l.clv_index(p, c, s)], 0.0)
-                << "pattern " << p << " cat " << c << " state " << s;
-      }
-      if (want_clv.empty()) {
-        want_clv = clv;
-        want_scale = scale;
-      } else {
-        EXPECT_EQ(clv, want_clv) << kern::kernel_isa_name(isa);
-        EXPECT_EQ(scale, want_scale) << kern::kernel_isa_name(isa);
-      }
+  const auto l = gamma_layout(cw);
+  std::vector<double> want_clv;
+  std::vector<int> want_scale;
+  for (const auto isa : family_members()) {
+    ScopedIsa guard(isa);
+    std::vector<double> clv(l.clv_stride(npat), -1.0);
+    std::vector<int> scale(npat, -1);
+    kern::newview_tip_tip(l, 0, npat, tipA.data(), tipB.data(),
+                          lookup.data(), lookup.data(), clv.data(),
+                          scale.data());
+    for (std::size_t p = 0; p < npat; p += 4) {
+      EXPECT_EQ(scale[p], 0) << "pattern " << p;
+      for (int c = 0; c < 4; ++c)
+        for (int s = 0; s < 4; ++s)
+          EXPECT_EQ(clv[l.clv_index(p, c, s)], 0.0)
+              << "pattern " << p << " cat " << c << " state " << s;
+    }
+    if (want_clv.empty()) {
+      want_clv = clv;
+      want_scale = scale;
+    } else {
+      EXPECT_EQ(clv, want_clv) << kern::kernel_isa_name(isa);
+      EXPECT_EQ(scale, want_scale) << kern::kernel_isa_name(isa);
     }
   }
 }
 
 TEST(Rescale, ThresholdStraddlingPatterns) {
-  // Four per-pattern cases cycled across 32 patterns so the blocked layout's
-  // vector middle (not just its scalar edges) sees each one:
+  // Four per-pattern cases cycled across 32 patterns:
   //   p%4==0: all values just ABOVE the threshold  -> no rescale
   //   p%4==1: all values just BELOW                -> rescale, count +1
   //   p%4==2: one value above, the rest below      -> vmax above, no rescale
@@ -116,53 +108,51 @@ TEST(Rescale, ThresholdStraddlingPatterns) {
   kern::build_tip_lookup(pmat.data(), 4, lookup.data());
   std::vector<DnaState> tip(npat, static_cast<DnaState>(15));
 
-  for (const bool blocked : {false, true}) {
-    const auto l = gamma_layout(npat, blocked, cw);
-    std::vector<double> clv_right(l.clv_stride(npat), 0.0);
-    std::vector<int> scale_right(npat);
-    for (std::size_t p = 0; p < npat; ++p) {
-      scale_right[p] = static_cast<int>(p % 2);  // accumulation carries over
-      for (int c = 0; c < 4; ++c)
-        for (int s = 0; s < 4; ++s) {
-          double v = 0.0;
-          switch (p % 4) {
-            case 0: v = 2.0 * thr; break;
-            case 1: v = 0.5 * thr; break;
-            case 2: v = (c == 0 && s == 0) ? 2.0 * thr : 0.25 * thr; break;
-            case 3: v = thr; break;
-          }
-          clv_right[l.clv_index(p, c, s)] = v;
-        }
-    }
-
-    std::vector<double> want_clv;
-    std::vector<int> want_scale;
-    for (const auto isa : family_members()) {
-      ScopedIsa guard(isa);
-      std::vector<double> clv(l.clv_stride(npat), 0.0);
-      std::vector<int> scale(npat, 0);
-      kern::newview_tip_inner(l, 0, npat, tip.data(), lookup.data(),
-                              clv_right.data(), scale_right.data(),
-                              pmat.data(), clv.data(), scale.data());
-      for (std::size_t p = 0; p < npat; ++p) {
-        const int event = p % 4 == 1 ? 1 : 0;
-        EXPECT_EQ(scale[p], scale_right[p] + event) << "pattern " << p;
-        const double got = clv[l.clv_index(p, 1, 2)];
+  const auto l = gamma_layout(cw);
+  std::vector<double> clv_right(l.clv_stride(npat), 0.0);
+  std::vector<int> scale_right(npat);
+  for (std::size_t p = 0; p < npat; ++p) {
+    scale_right[p] = static_cast<int>(p % 2);  // accumulation carries over
+    for (int c = 0; c < 4; ++c)
+      for (int s = 0; s < 4; ++s) {
+        double v = 0.0;
         switch (p % 4) {
-          case 0: EXPECT_EQ(got, 2.0 * thr) << p; break;
-          // Rescaled: 0.5 * thr * kScaleFactor == 0.5 exactly (powers of 2).
-          case 1: EXPECT_EQ(got, 0.5) << p; break;
-          case 2: EXPECT_EQ(got, 0.25 * thr) << p; break;
-          case 3: EXPECT_EQ(got, thr) << p; break;
+          case 0: v = 2.0 * thr; break;
+          case 1: v = 0.5 * thr; break;
+          case 2: v = (c == 0 && s == 0) ? 2.0 * thr : 0.25 * thr; break;
+          case 3: v = thr; break;
         }
+        clv_right[l.clv_index(p, c, s)] = v;
       }
-      if (want_clv.empty()) {
-        want_clv = clv;
-        want_scale = scale;
-      } else {
-        EXPECT_EQ(clv, want_clv) << kern::kernel_isa_name(isa);
-        EXPECT_EQ(scale, want_scale) << kern::kernel_isa_name(isa);
+  }
+
+  std::vector<double> want_clv;
+  std::vector<int> want_scale;
+  for (const auto isa : family_members()) {
+    ScopedIsa guard(isa);
+    std::vector<double> clv(l.clv_stride(npat), 0.0);
+    std::vector<int> scale(npat, 0);
+    kern::newview_tip_inner(l, 0, npat, tip.data(), lookup.data(),
+                            clv_right.data(), scale_right.data(),
+                            pmat.data(), clv.data(), scale.data());
+    for (std::size_t p = 0; p < npat; ++p) {
+      const int event = p % 4 == 1 ? 1 : 0;
+      EXPECT_EQ(scale[p], scale_right[p] + event) << "pattern " << p;
+      const double got = clv[l.clv_index(p, 1, 2)];
+      switch (p % 4) {
+        case 0: EXPECT_EQ(got, 2.0 * thr) << p; break;
+        // Rescaled: 0.5 * thr * kScaleFactor == 0.5 exactly (powers of 2).
+        case 1: EXPECT_EQ(got, 0.5) << p; break;
+        case 2: EXPECT_EQ(got, 0.25 * thr) << p; break;
+        case 3: EXPECT_EQ(got, thr) << p; break;
       }
+    }
+    if (want_clv.empty()) {
+      want_clv = clv;
+      want_scale = scale;
+    } else {
+      EXPECT_EQ(clv, want_clv) << kern::kernel_isa_name(isa);
+      EXPECT_EQ(scale, want_scale) << kern::kernel_isa_name(isa);
     }
   }
 }
@@ -171,7 +161,7 @@ TEST(Rescale, DeepChainAccumulatesScaleCounts) {
   // A caterpillar-like chain of tip_inner newviews whose P matrix shrinks
   // the CLV by 1e-150 per step: every step must trigger exactly one rescale,
   // so after `depth` steps the scale count is exactly `depth` — for every
-  // member and layout, with bitwise-identical values.
+  // member, with bitwise-identical values.
   const std::size_t npat = 16;
   const int depth = 12;
   const std::vector<double> cw(4, 0.25);
@@ -188,41 +178,39 @@ TEST(Rescale, DeepChainAccumulatesScaleCounts) {
   std::vector<int> weights(npat, 1);
   const double freqs[4] = {0.25, 0.25, 0.25, 0.25};
 
-  for (const bool blocked : {false, true}) {
-    const auto l = gamma_layout(npat, blocked, cw);
-    std::vector<double> want_clv;
-    std::vector<int> want_scale;
-    double want_lnl = 0.0;
-    for (const auto isa : family_members()) {
-      ScopedIsa guard(isa);
-      std::vector<double> cur(l.clv_stride(npat), 1.0);
-      std::vector<double> next(l.clv_stride(npat), 0.0);
-      std::vector<int> s_cur(npat, 0), s_next(npat, 0);
-      for (int d = 0; d < depth; ++d) {
-        kern::newview_tip_inner(l, 0, npat, tip.data(), lookup_ones.data(),
-                                cur.data(), s_cur.data(), pmat_shrink.data(),
-                                next.data(), s_next.data());
-        cur.swap(next);
-        s_cur.swap(s_next);
-      }
-      for (std::size_t p = 0; p < npat; ++p)
-        EXPECT_EQ(s_cur[p], depth) << "pattern " << p;
-      const double lnl = kern::evaluate_tip_inner(
-          l, 0, npat, freqs, tip.data(), lookup_ones.data(), cur.data(),
-          s_cur.data(), weights.data(), nullptr);
-      EXPECT_TRUE(std::isfinite(lnl));
-      // Each accumulated scale count subtracts kLogScaleFactor per site.
-      EXPECT_LT(lnl, -static_cast<double>(npat) * (depth - 1) *
-                         kern::kLogScaleFactor);
-      if (want_clv.empty()) {
-        want_clv = cur;
-        want_scale = s_cur;
-        want_lnl = lnl;
-      } else {
-        EXPECT_EQ(cur, want_clv) << kern::kernel_isa_name(isa);
-        EXPECT_EQ(s_cur, want_scale) << kern::kernel_isa_name(isa);
-        EXPECT_EQ(lnl, want_lnl) << kern::kernel_isa_name(isa);
-      }
+  const auto l = gamma_layout(cw);
+  std::vector<double> want_clv;
+  std::vector<int> want_scale;
+  double want_lnl = 0.0;
+  for (const auto isa : family_members()) {
+    ScopedIsa guard(isa);
+    std::vector<double> cur(l.clv_stride(npat), 1.0);
+    std::vector<double> next(l.clv_stride(npat), 0.0);
+    std::vector<int> s_cur(npat, 0), s_next(npat, 0);
+    for (int d = 0; d < depth; ++d) {
+      kern::newview_tip_inner(l, 0, npat, tip.data(), lookup_ones.data(),
+                              cur.data(), s_cur.data(), pmat_shrink.data(),
+                              next.data(), s_next.data());
+      cur.swap(next);
+      s_cur.swap(s_next);
+    }
+    for (std::size_t p = 0; p < npat; ++p)
+      EXPECT_EQ(s_cur[p], depth) << "pattern " << p;
+    const double lnl = kern::evaluate_tip_inner(
+        l, 0, npat, freqs, tip.data(), lookup_ones.data(), cur.data(),
+        s_cur.data(), weights.data(), nullptr);
+    EXPECT_TRUE(std::isfinite(lnl));
+    // Each accumulated scale count subtracts kLogScaleFactor per site.
+    EXPECT_LT(lnl, -static_cast<double>(npat) * (depth - 1) *
+                       kern::kLogScaleFactor);
+    if (want_clv.empty()) {
+      want_clv = cur;
+      want_scale = s_cur;
+      want_lnl = lnl;
+    } else {
+      EXPECT_EQ(cur, want_clv) << kern::kernel_isa_name(isa);
+      EXPECT_EQ(s_cur, want_scale) << kern::kernel_isa_name(isa);
+      EXPECT_EQ(lnl, want_lnl) << kern::kernel_isa_name(isa);
     }
   }
 }
