@@ -23,16 +23,9 @@
 //                   avx512. RAXH_KERNELS supplies the default value; an
 //                   unknown or unrunnable member exits 2 either way.
 //
-// minimpi runtime (src/minimpi/):
-//   --collectives=ALG     star | tree: collective routing. tree (default)
-//                         runs Barrier/Bcast/Allreduce/Gather over binomial
-//                         trees (latency grows with log ranks); star keeps
-//                         the rank-0-centered pattern for A/B benching.
-//   --transport=KIND      socketpair | shm: rank-to-rank transport for the
-//                         forked mesh. shm moves frames through same-host
-//                         shared-memory rings (socketpairs stay as the
-//                         liveness channel); socketpair (default) frames
-//                         over the full socket mesh.
+// minimpi runtime (src/minimpi/): forked ranks talk over a full mesh of
+// Unix socketpairs, and Barrier/Bcast/Allreduce/Gather route along binomial
+// trees (latency grows with log ranks). Neither is configurable.
 //
 // Observability (src/obs/):
 //   --trace-out=FILE      merged Chrome trace_event JSON (all ranks/threads;
@@ -72,6 +65,9 @@
 //
 // Telemetry output paths are validated (and directories created) at startup
 // so a long run cannot silently lose its telemetry at the end.
+//
+// Removed flags (--repeats, -simd, --collectives, --transport) and malformed
+// numeric values (-N abc) exit 2 with an error naming the flag.
 //
 // Exit status 0 on success; messages go to stdout, errors to stderr.
 #include <algorithm>
@@ -118,7 +114,6 @@ void usage(const char* prog) {
       "[--fault-plan=SPEC]\n"
       "          [--log-level=error|warn|info|debug] [--blackbox=off]\n"
       "          [--blackbox-dir=DIR] [--blackbox-dump]\n"
-      "          [--collectives=star|tree] [--transport=socketpair|shm]\n"
       "          [--kernels=auto|scalar|generic|neon|avx512]\n"
       "          [--connect=SOCKET|host:port]  (run -f a on a raxhd daemon)\n"
       "modes: a=comprehensive (default), d=multi-start ML, b=bootstrap only,\n"
@@ -126,32 +121,24 @@ void usage(const char* prog) {
       prog);
 }
 
-// --- minimpi flags (--collectives=star|tree / --transport=socketpair|shm) ---
+// --- removed flags: each exits 2 instead of being silently ignored ---
 
-bool comm_options_from_cli(const CliParser& cli, mpi::CommOptions* out) {
-  const std::string algo = cli.value_or("-collectives", "tree");
-  if (algo == "star") {
-    out->collectives = mpi::CollectiveAlgo::kStar;
-  } else if (algo == "tree") {
-    out->collectives = mpi::CollectiveAlgo::kTree;
-  } else {
-    std::fprintf(stderr, "error: --collectives=%s: expected star or tree\n",
-                 algo.c_str());
-    return false;
-  }
-  const std::string transport = cli.value_or("-transport", "socketpair");
-  if (transport == "shm") {
-    out->transport = mpi::Transport::kShm;
-  } else if (transport == "socketpair") {
-    out->transport = mpi::Transport::kSocketpair;
-  } else {
-    std::fprintf(stderr,
-                 "error: --transport=%s: expected socketpair or shm\n",
-                 transport.c_str());
-    return false;
-  }
-  return true;
-}
+struct RemovedFlag {
+  const char* flag;  // as CliParser stores it (leading dash stripped)
+  const char* message;
+};
+
+constexpr RemovedFlag kRemovedFlags[] = {
+    {"-repeats", "--repeats: site repeats were removed"},
+    {"simd",
+     "-simd was removed; use --kernels=scalar to run the scalar reference"},
+    {"-collectives",
+     "--collectives was removed; collectives always route along binomial "
+     "trees"},
+    {"-transport",
+     "--transport was removed; forked ranks always talk over the socketpair "
+     "mesh"},
+};
 
 // --- kernel family member (--kernels=NAME, default $RAXH_KERNELS) ---
 
@@ -204,8 +191,7 @@ ObsOptions obs_from_cli(const CliParser& cli) {
   o.trace_out = cli.value_or("-trace-out", "");
   o.metrics_out = cli.value_or("-metrics-out", "");
   o.heartbeat_out = cli.value_or("-heartbeat-out", "");
-  const std::string factor = cli.value_or("-straggler-factor", "");
-  if (!factor.empty()) o.straggler_factor = std::strtod(factor.c_str(), nullptr);
+  o.straggler_factor = cli.double_or("-straggler-factor", o.straggler_factor);
   o.report_components = cli.has("-report-components");
   return o;
 }
@@ -406,8 +392,6 @@ int run_comprehensive(const PatternAlignment& patterns, const CliParser& cli) {
 
   const ObsOptions obs_opts = obs_from_cli(cli);
   WallTimer wall;
-  mpi::CommOptions copts;
-  if (!comm_options_from_cli(cli, &copts)) return 1;
   mpi::run_process_ranks(ranks, [&](mpi::Comm& inner_comm) {
     // With a fault plan, every rank talks through the injecting decorator;
     // its op counter drives the plan deterministically on both backends.
@@ -469,7 +453,7 @@ int run_comprehensive(const PatternAlignment& patterns, const CliParser& cli) {
     } else if (comm.rank() == 0 && obs_opts.any()) {
       std::printf("skipping telemetry merge (rank failures occurred)\n");
     }
-  }, copts);
+  });
   std::printf("wall time: %.2f s\n", wall.seconds());
   return 0;
 }
@@ -483,8 +467,6 @@ int run_multistart(const PatternAlignment& patterns, const CliParser& cli) {
   const std::string name = cli.value_or("n", "raxh");
 
   const ObsOptions obs_opts = obs_from_cli(cli);
-  mpi::CommOptions copts;
-  if (!comm_options_from_cli(cli, &copts)) return 1;
   mpi::run_process_ranks(ranks, [&](mpi::Comm& comm) {
     const auto result = [&] {
       obs::ScopedPhase phase("search");
@@ -501,7 +483,7 @@ int run_multistart(const PatternAlignment& patterns, const CliParser& cli) {
     }
     end_of_run_dump(cli, comm.rank());
     finalize_obs(comm, obs_opts);
-  }, copts);
+  });
   return 0;
 }
 
@@ -515,8 +497,6 @@ int run_bootstrap_only(const PatternAlignment& patterns, const CliParser& cli) {
   const std::string name = cli.value_or("n", "raxh");
 
   const ObsOptions obs_opts = obs_from_cli(cli);
-  mpi::CommOptions copts;
-  if (!comm_options_from_cli(cli, &copts)) return 1;
   mpi::run_process_ranks(ranks, [&](mpi::Comm& comm) {
     const auto result = [&] {
       obs::ScopedPhase phase("replicates");
@@ -533,7 +513,7 @@ int run_bootstrap_only(const PatternAlignment& patterns, const CliParser& cli) {
     }
     end_of_run_dump(cli, comm.rank());
     finalize_obs(comm, obs_opts);
-  }, copts);
+  });
   return 0;
 }
 
@@ -549,8 +529,6 @@ int run_adaptive(const PatternAlignment& patterns, const CliParser& cli) {
   const std::string name = cli.value_or("n", "raxh");
 
   const ObsOptions obs_opts = obs_from_cli(cli);
-  mpi::CommOptions copts;
-  if (!comm_options_from_cli(cli, &copts)) return 1;
   mpi::run_process_ranks(ranks, [&](mpi::Comm& comm) {
     const auto result = [&] {
       obs::ScopedPhase phase("replicates");
@@ -570,7 +548,7 @@ int run_adaptive(const PatternAlignment& patterns, const CliParser& cli) {
     }
     end_of_run_dump(cli, comm.rank());
     finalize_obs(comm, obs_opts);
-  }, copts);
+  });
   return 0;
 }
 
@@ -644,20 +622,26 @@ int run_evaluate(const PatternAlignment& patterns, const CliParser& cli) {
 
 int main(int argc, char** argv) {
   const CliParser cli(argc, argv);
+  for (const RemovedFlag& removed : kRemovedFlags) {
+    if (cli.has(removed.flag)) {
+      std::fprintf(stderr, "error: %s\n", removed.message);
+      return 2;
+    }
+  }
+  // Every numeric flag, read once before any input is: a malformed value
+  // (-N abc) is a usage error. The modes read them again where they use them.
+  try {
+    for (const char* flag : {"N", "p", "x", "np", "T"})
+      (void)cli.int_or(flag, 0);
+    (void)cli.double_or("-straggler-factor", 0.0);
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   const auto alignment_path = cli.value("s");
   if (!alignment_path || cli.has("h") || cli.has("-help")) {
     usage(argv[0]);
     return alignment_path ? 0 : 2;
-  }
-  if (cli.has("-repeats")) {
-    std::fprintf(stderr, "error: --repeats: site repeats were removed\n");
-    return 2;
-  }
-  if (cli.has("simd")) {
-    std::fprintf(stderr,
-                 "error: -simd was removed; use --kernels=scalar to run the "
-                 "scalar reference\n");
-    return 2;
   }
   if (!kernels_from_cli(cli)) return 2;
 

@@ -93,21 +93,27 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.socket_path = cli.value_or("-socket", "/tmp/raxhd.sock");
-  options.tcp_port = static_cast<int>(cli.int_or("-tcp-port", 0));
-  options.stream_interval_ms =
-      static_cast<int>(cli.int_or("-stream-interval-ms", 100));
-  options.service.max_concurrent_jobs = static_cast<int>(cli.int_or("-jobs", 4));
-  options.service.cache_bytes =
-      static_cast<std::size_t>(cli.int_or("-cache-mb", 64)) << 20;
-  options.service.admission_lookahead =
-      static_cast<int>(cli.int_or("-lookahead", 2));
+  try {
+    options.tcp_port = static_cast<int>(cli.int_or("-tcp-port", 0));
+    options.stream_interval_ms =
+        static_cast<int>(cli.int_or("-stream-interval-ms", 100));
+    options.service.max_concurrent_jobs =
+        static_cast<int>(cli.int_or("-jobs", 4));
+    options.service.cache_bytes =
+        static_cast<std::size_t>(cli.int_or("-cache-mb", 64)) << 20;
+    options.service.admission_lookahead =
+        static_cast<int>(cli.int_or("-lookahead", 2));
+    options.service.max_ranks_per_job =
+        static_cast<int>(cli.int_or("-max-ranks", 16));
+    options.service.max_threads_per_rank =
+        static_cast<int>(cli.int_or("-max-threads", 16));
+    options.metrics_http_port =
+        static_cast<int>(cli.int_or("-metrics-http-port", 0));
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   options.service.artifact_dir = cli.value_or("-artifact-dir", "");
-  options.service.max_ranks_per_job =
-      static_cast<int>(cli.int_or("-max-ranks", 16));
-  options.service.max_threads_per_rank =
-      static_cast<int>(cli.int_or("-max-threads", 16));
-  options.metrics_http_port =
-      static_cast<int>(cli.int_or("-metrics-http-port", 0));
   const std::string trace_out = cli.value_or("-trace-out", "");
   const std::string metrics_out = cli.value_or("-metrics-out", "");
 

@@ -68,10 +68,11 @@ struct RankDeath {
 inline constexpr int kRankDeathExit = 86;
 
 // Collective algorithm: tree is the scalable default, star the O(p)
-// pre-scale baseline kept for A/B comparisons (--collectives=star|tree).
+// pre-scale baseline kept for A/B comparisons (bench_parallel and the
+// collective conformance matrix). raxh always runs tree.
 enum class CollectiveAlgo { kStar, kTree };
 
-// Per-pair transport of a rank mesh (--transport=socketpair|shm). For the
+// Per-pair transport of a rank mesh; raxh always runs kSocketpair. For the
 // thread backend, kSocketpair selects its native in-process channel mesh
 // (the thread analogue of the socketpair mesh).
 enum class Transport { kSocketpair, kShm };

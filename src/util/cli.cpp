@@ -1,8 +1,29 @@
 #include "util/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace raxh {
+
+namespace {
+
+// Parses all of `text` with strtoll/strtod-style `parse`; anything left
+// over, nothing parsed, or ERANGE is a CliError naming the flag.
+template <typename T, typename Parse>
+T parse_number(const std::string& flag, const std::string& text,
+               const char* expected, Parse parse) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const T value = parse(begin, &end);
+  if (end == begin || *end != '\0')
+    throw CliError("-" + flag + "=" + text + ": expected " + expected);
+  if (errno == ERANGE)
+    throw CliError("-" + flag + "=" + text + ": out of range");
+  return value;
+}
+
+}  // namespace
 
 CliParser::CliParser(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -54,12 +75,19 @@ std::string CliParser::value_or(const std::string& flag,
 
 long long CliParser::int_or(const std::string& flag, long long fallback) const {
   auto v = value(flag);
-  return v ? std::strtoll(v->c_str(), nullptr, 10) : fallback;
+  if (!v) return fallback;
+  return parse_number<long long>(
+      flag, *v, "an integer",
+      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
 }
 
 double CliParser::double_or(const std::string& flag, double fallback) const {
   auto v = value(flag);
-  return v ? std::strtod(v->c_str(), nullptr) : fallback;
+  if (!v) return fallback;
+  return parse_number<double>(flag, *v, "a number", [](const char* s,
+                                                       char** end) {
+    return std::strtod(s, end);
+  });
 }
 
 }  // namespace raxh

@@ -5,10 +5,18 @@
 
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace raxh {
+
+// A malformed flag value: int_or/double_or throw it when the value does not
+// parse completely or is out of range. what() names the flag and the value.
+class CliError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class CliParser {
  public:
@@ -22,6 +30,9 @@ class CliParser {
 
   [[nodiscard]] std::string value_or(const std::string& flag,
                                      std::string fallback) const;
+  // Numeric value of "-flag value", or fallback if absent/valueless. Throws
+  // CliError on trailing garbage ("12x"), no number at all ("abc"), or a
+  // value out of range (ERANGE).
   [[nodiscard]] long long int_or(const std::string& flag,
                                  long long fallback) const;
   [[nodiscard]] double double_or(const std::string& flag,

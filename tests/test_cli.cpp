@@ -165,12 +165,37 @@ TEST_F(CliSmoke, UnknownKernelMemberExitsTwo) {
       << output();
 }
 
+// Every removed flag is an error that names the flag (and, for -simd, its
+// replacement), whatever value it is given.
 TEST_F(CliSmoke, RemovedSimdFlagExitsTwo) {
-  const int status = run("-s " + alignment_ + " -f e -t " + true_tree_ +
-                         " -n " + (work_ / "simd").string() + " -simd off");
+  const std::string eval = "-s " + alignment_ + " -f e -t " + true_tree_ +
+                           " -n " + (work_ / "removed").string();
+  const struct {
+    const char* args;
+    const char* names;
+  } removed[] = {
+      {" -simd off", "--kernels=scalar"},
+      {" --repeats", "--repeats"},
+      {" --collectives=star", "--collectives"},
+      {" --collectives=tree", "--collectives"},
+      {" --transport=shm", "--transport"},
+      {" --transport=socketpair", "--transport"},
+  };
+  for (const auto& r : removed) {
+    const int status = run(eval + r.args);
+    ASSERT_TRUE(WIFEXITED(status)) << r.args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << r.args << ": " << output();
+    EXPECT_NE(output().find(r.names), std::string::npos)
+        << r.args << ": " << output();
+  }
+}
+
+TEST_F(CliSmoke, MalformedNumberExitsTwo) {
+  const int status = run("-s " + alignment_ + " -f a -N abc -n " +
+                         (work_ / "badn").string());
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2) << output();
-  EXPECT_NE(output().find("--kernels=scalar"), std::string::npos) << output();
+  EXPECT_NE(output().find("-N=abc"), std::string::npos) << output();
 }
 
 }  // namespace

@@ -66,11 +66,11 @@ TEST(Simd, FamilyRosterIsSane) {
   EXPECT_TRUE(kern::kernel_isa_supported(kern::KernelIsa::kScalar));
   EXPECT_TRUE(kern::kernel_isa_supported(kern::kernel_isa()));
   EXPECT_TRUE(kern::kernel_isa_supported(kern::best_kernel_isa()));
-  // The generic member is GCC-vector code at baseline arch: compiled on any
-  // GNU-compatible build, and anything compiled at baseline runs anywhere.
-#if defined(__GNUC__) && !defined(RAXH_DISABLE_SIMD_KERNELS)
-  EXPECT_TRUE(kern::kernel_isa_supported(kern::KernelIsa::kGeneric));
-#endif
+  // The generic member is GCC-vector code at baseline arch: whenever it is
+  // compiled in (-DRAXH_SIMD=OFF builds leave it out), it runs anywhere.
+  if (kern::kernel_isa_compiled(kern::KernelIsa::kGeneric)) {
+    EXPECT_TRUE(kern::kernel_isa_supported(kern::KernelIsa::kGeneric));
+  }
 }
 
 TEST(Simd, IsaToggleRoundTrips) {

@@ -234,6 +234,34 @@ TEST(Cli, GnuStyleEqualsValues) {
   EXPECT_EQ(cli.int_or("T", 1), 4);  // plain space-separated form still works
 }
 
+TEST(Cli, MalformedNumbersThrowNamingFlagAndValue) {
+  const char* argv[] = {"raxh", "-N", "abc", "-T", "4x",
+                        "--straggler-factor=x", "-p",
+                        "99999999999999999999", "--scale=1e999"};
+  CliParser cli(static_cast<int>(std::size(argv)), argv);
+  const auto message = [&](auto read) -> std::string {
+    try {
+      read();
+    } catch (const CliError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // Nothing parses.
+  EXPECT_EQ(message([&] { return cli.int_or("N", 0); }),
+            "-N=abc: expected an integer");
+  // Trailing garbage after a valid prefix.
+  EXPECT_EQ(message([&] { return cli.int_or("T", 1); }),
+            "-T=4x: expected an integer");
+  EXPECT_EQ(message([&] { return cli.double_or("-straggler-factor", 2.0); }),
+            "--straggler-factor=x: expected a number");
+  // ERANGE.
+  EXPECT_EQ(message([&] { return cli.int_or("p", 0); }),
+            "-p=99999999999999999999: out of range");
+  EXPECT_EQ(message([&] { return cli.double_or("-scale", 1.0); }),
+            "--scale=1e999: out of range");
+}
+
 TEST(LogPrefix, BareFormatWhenRankAndThreadUnset) {
   // The historical format must stay byte-identical when nothing is set.
   EXPECT_EQ(format_log_prefix(LogLevel::kInfo, -1, -1, 12.3), "[INF] ");
