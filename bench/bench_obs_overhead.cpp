@@ -15,7 +15,7 @@
 // instrumentation and the enabled flight recorder must each cost < 2% of
 // kernel throughput. The comm plane (obs/comm_obs.h) is gated the same
 // way: a disabled-observability minimpi ping-pong must pay < 2% for the
-// per-edge matrix / ring gauge / overlap gate sites it now carries.
+// timing / ring gauge / overlap gate sites it carries.
 // Measuring that directly is hopeless (the effect is far
 // below machine noise), so the checks are deterministic instead: microbench
 // the per-event cost (one relaxed atomic load + branch for the disabled obs
@@ -180,10 +180,14 @@ double measure_dump_ms() {
 
 // Atomic-load gate sites the comm plane adds to one 4-op ping-pong round
 // trip (send + recv on each rank, all serialized on the critical path) with
-// observability disabled. Thread channels pay the obs_block() gate in send
-// and in recv: 4. Shm rings additionally pay the send_frame ring-depth gate
-// on each send: 6. The stall-scope flag checks are plain tests of stack
-// values, covered by the safety factor.
+// observability disabled. Comm::send and Comm::recv each sample
+// obs::enabled() once, to decide on clock reads and on booking ns and the
+// byte counters: 4 on thread channels. Shm rings additionally pay the
+// send_frame ring-depth gate on each send: 6. The message and byte counts
+// are not gated: every send/recv books them into the comm block, which
+// Comm::stats() reads, so they are the cost of CommStats in any run, not of
+// observability. The block-acquired and stall-scope flag checks are plain
+// tests of member and stack values, covered by the safety factor.
 constexpr double kCommGatesChannel = 4.0;
 constexpr double kCommGatesShm = 6.0;
 

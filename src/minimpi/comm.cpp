@@ -1,6 +1,7 @@
 #include "minimpi/comm.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 
@@ -15,72 +16,111 @@ namespace raxh::mpi {
 namespace {
 
 namespace flight = obs::flight;
+using obs::comm::kOpBarrier;
+using obs::comm::kOpBcast;
+using obs::comm::kOpGather;
+using obs::comm::kOpP2p;
+using obs::comm::kOpReduce;
 
-// Feeds the collective-latency histogram: one sample per collective call,
-// measured from entry to completion (so it includes peer wait time — the
-// coarse-grained analogue of the crew barrier wait). Sleeps injected by a
-// fault plan on this thread are subtracted: they are chaos-test artifacts,
-// not comm latency.
-struct ScopedCollectiveLatency {
-  bool armed = obs::enabled();
-  std::uint64_t start = armed ? obs::now_ns() : 0;
-  std::uint64_t synth0 = armed ? obs::synthetic_delay_ns_this_thread() : 0;
-  ~ScopedCollectiveLatency() {
-    if (!armed) return;
-    std::uint64_t dur = obs::now_ns() - start;
-    const std::uint64_t synth =
-        obs::synthetic_delay_ns_this_thread() - synth0;
-    dur -= std::min(dur, synth);
-    obs::detail::hist_add(obs::Hist::kCollectiveNs, dur);
-  }
-};
+// Span and flight-recorder names of the collectives, by obs::comm op index.
+// p2p traffic opens no collective scope.
+constexpr const char* kCollectiveName[obs::comm::kNumOps] = {
+    nullptr, "mpi.barrier", "mpi.bcast", "mpi.allreduce", "mpi.gather"};
 
-// Flight-recorder bracket for one collective. Separate from the span/latency
-// scopes above because the recorder is always on, even with obs:: disabled.
-struct FlightCollective {
-  std::uint32_t id;
-  bool armed = flight::enabled();
-  std::uint64_t start = 0;
-  explicit FlightCollective(std::uint32_t name_id) : id(name_id) {
-    if (armed) {
-      start = obs::now_ns();
-      flight::record(flight::Kind::kCollBegin, id);
-    }
-  }
-  ~FlightCollective() {
-    if (armed)
-      flight::record(flight::Kind::kCollEnd, id, obs::now_ns() - start);
-  }
-};
+std::uint32_t flight_name(int op) {
+  static const auto ids = [] {
+    std::array<std::uint32_t, obs::comm::kNumOps> out{};
+    for (int i = kOpBarrier; i < obs::comm::kNumOps; ++i)
+      out[static_cast<std::size_t>(i)] = flight::name_id(kCollectiveName[i]);
+    return out;
+  }();
+  return ids[static_cast<std::size_t>(op)];
+}
 
 }  // namespace
 
-Comm::~Comm() { obs::comm::retire(comm_block_); }
+// One collective call, measured once: a single pair of clock samples feeds
+// the flight kCollBegin/kCollEnd pair and the `mpi.<op>` span (raw
+// duration), and the collective-latency histogram plus, for barrier,
+// barrier_wait_ns (duration minus the fault-plan sleeps this thread served:
+// those are chaos-test artifacts, not comm latency). The outermost scope
+// also routes every send/recv inside it to its op and starts a new
+// collective instance for kCollEdge hop events.
+class Comm::CollectiveScope {
+ public:
+  CollectiveScope(Comm& comm, int op)
+      : comm_(comm),
+        op_(op),
+        outermost_(comm.op_ == kOpP2p),
+        obs_(obs::enabled()),
+        flight_(flight::enabled()) {
+    if (outermost_) {
+      comm_.op_ = op;
+      ++comm_.coll_seq_;
+    }
+    ++comm_.open_collectives_;
+    if (timed()) {
+      start_ = obs::now_ns();
+      synth0_ = obs::synthetic_delay_ns_this_thread();
+    }
+    if (flight_) flight::record(flight::Kind::kCollBegin, flight_name(op_));
+  }
+  ~CollectiveScope() {
+    --comm_.open_collectives_;
+    if (outermost_) comm_.op_ = kOpP2p;
+    if (!timed()) return;
+    const std::uint64_t dur = obs::now_ns() - start_;
+    if (flight_) flight::record(flight::Kind::kCollEnd, flight_name(op_), dur);
+    const std::uint64_t synth =
+        obs::synthetic_delay_ns_this_thread() - synth0_;
+    const std::uint64_t latency = dur - std::min(dur, synth);
+    if (obs_) {
+      obs::record_span(kCollectiveName[op_], start_, dur);
+      obs::detail::hist_add(obs::Hist::kCollectiveNs, latency);
+    }
+    if (op_ == kOpBarrier) comm_.barrier_wait_ns_ += latency;
+  }
+  CollectiveScope(const CollectiveScope&) = delete;
+  CollectiveScope& operator=(const CollectiveScope&) = delete;
 
-obs::comm::Block* Comm::obs_block() {
-  if (!obs::enabled()) return nullptr;
-  if (comm_block_ == nullptr) comm_block_ = obs::comm::acquire(rank());
-  return comm_block_;
+ private:
+  // Barrier wait is booked with observability off too.
+  [[nodiscard]] bool timed() const {
+    return obs_ || flight_ || op_ == kOpBarrier;
+  }
+
+  Comm& comm_;
+  int op_;
+  bool outermost_;
+  bool obs_;
+  bool flight_;
+  std::uint64_t start_ = 0;
+  std::uint64_t synth0_ = 0;
+};
+
+Comm::~Comm() { obs::comm::retire(block_); }
+
+obs::comm::Block* Comm::block() {
+  if (block_ == nullptr) block_ = obs::comm::acquire(rank());
+  return block_;
 }
 
 void Comm::note_ring_stall(int peer, std::uint64_t ns) {
-  obs::comm::record_ring_stall(obs_block(), peer, ns);
+  obs::comm::record_ring_stall(block(), peer, ns);
 }
 
 void Comm::note_ring_depth(int peer, std::uint64_t bytes) {
-  obs::comm::record_ring_depth(obs_block(), peer, bytes);
+  obs::comm::record_ring_depth(block(), peer, bytes);
 }
 
 void Comm::send(int dest, int tag, const Bytes& payload) {
-  current_op_->msgs_sent += 1;
-  current_op_->bytes_sent += payload.size();
+  const bool timed = obs::enabled();
   const bool fl = flight::enabled();
   // Hop events are only meaningful inside a collective: one kCollEdge per
   // send/recv lets the postmortem attribute a slow collective instance to a
   // specific parent→child tree edge.
-  const bool edge = fl && current_op_index_ != obs::comm::kOpP2p;
-  obs::comm::Block* ob = obs_block();
-  const std::uint64_t t0 = (ob != nullptr || edge) ? obs::now_ns() : 0;
+  const bool edge = fl && op_ != kOpP2p;
+  const std::uint64_t t0 = (timed || edge) ? obs::now_ns() : 0;
   if (fl)
     flight::record(flight::Kind::kSendBegin, flight::peer_tag(dest, tag),
                    payload.size());
@@ -88,70 +128,86 @@ void Comm::send(int dest, int tag, const Bytes& payload) {
   if (fl)
     flight::record(flight::Kind::kSendEnd, flight::peer_tag(dest, tag),
                    payload.size());
-  if (ob != nullptr || edge) {
-    const std::uint64_t dur = obs::now_ns() - t0;
-    if (ob != nullptr)
-      obs::comm::record_send(ob, dest, current_op_index_, payload.size(), dur);
-    if (edge)
-      flight::record(flight::Kind::kCollEdge,
-                     flight::coll_edge_a(coll_seq_, current_coll_name_),
-                     flight::coll_edge_b(dest, /*recv_side=*/false, dur));
-  }
+  const std::uint64_t dur = (timed || edge) ? obs::now_ns() - t0 : 0;
+  obs::comm::record_send(block(), dest, op_, payload.size(), timed, dur);
+  if (edge)
+    flight::record(flight::Kind::kCollEdge,
+                   flight::coll_edge_a(coll_seq_, flight_name(op_)),
+                   flight::coll_edge_b(dest, /*recv_side=*/false, dur));
 }
 
 Bytes Comm::recv(int src, int tag) {
+  const bool timed = obs::enabled();
   const bool fl = flight::enabled();
-  const bool edge = fl && current_op_index_ != obs::comm::kOpP2p;
-  obs::comm::Block* ob = obs_block();
+  const bool edge = fl && op_ != kOpP2p;
   // recv duration includes the wait for the sender, so a slow upstream edge
   // (e.g. a fault-plan delay) shows up as receiver-side latency — exactly
   // what raxh_comm's slow-edge table keys on.
-  const std::uint64_t t0 = (ob != nullptr || edge) ? obs::now_ns() : 0;
+  const std::uint64_t t0 = (timed || edge) ? obs::now_ns() : 0;
   if (fl)
     flight::record(flight::Kind::kRecvBegin, flight::peer_tag(src, tag));
   Bytes payload = do_recv(src, tag);
   if (fl)
     flight::record(flight::Kind::kRecvEnd, flight::peer_tag(src, tag),
                    payload.size());
-  current_op_->msgs_recv += 1;
-  current_op_->bytes_recv += payload.size();
-  if (ob != nullptr || edge) {
-    const std::uint64_t dur = obs::now_ns() - t0;
-    if (ob != nullptr)
-      obs::comm::record_recv(ob, src, current_op_index_, payload.size(), dur);
-    if (edge)
-      flight::record(flight::Kind::kCollEdge,
-                     flight::coll_edge_a(coll_seq_, current_coll_name_),
-                     flight::coll_edge_b(src, /*recv_side=*/true, dur));
-  }
+  const std::uint64_t dur = (timed || edge) ? obs::now_ns() - t0 : 0;
+  obs::comm::record_recv(block(), src, op_, payload.size(), timed, dur);
+  if (edge)
+    flight::record(flight::Kind::kCollEdge,
+                   flight::coll_edge_a(coll_seq_, flight_name(op_)),
+                   flight::coll_edge_b(src, /*recv_side=*/true, dur));
   return payload;
+}
+
+Comm::Stats Comm::stats() const {
+  const obs::comm::BlockTotals t = obs::comm::totals(block_);
+  const auto op = [&t](int index) {
+    const obs::comm::EdgeTotals& e = t.per_op[static_cast<std::size_t>(index)];
+    return OpStats{e.msgs_sent, e.bytes_sent, e.msgs_recv, e.bytes_recv};
+  };
+  Stats s;
+  s.p2p = op(kOpP2p);
+  s.barrier = op(kOpBarrier);
+  s.bcast = op(kOpBcast);
+  s.reduce = op(kOpReduce);
+  s.gather = op(kOpGather);
+  s.barrier_wait_ns = barrier_wait_ns_;
+  s.synthetic_delay_ns = synthetic_delay_ns_;
+  return s;
+}
+
+void Comm::reset_stats() {
+  RAXH_EXPECTS(open_collectives_ == 0);
+  obs::comm::clear(block_);
+  barrier_wait_ns_ = 0;
+  synthetic_delay_ns_ = 0;
 }
 
 Comm::OpStats Comm::Stats::total() const {
   OpStats sum;
-  for (const OpStats* op : {&p2p, &barrier, &bcast, &reduce, &gather}) {
-    sum.msgs_sent += op->msgs_sent;
-    sum.bytes_sent += op->bytes_sent;
-    sum.msgs_recv += op->msgs_recv;
-    sum.bytes_recv += op->bytes_recv;
+  for (const OpStats op : {p2p, barrier, bcast, reduce, gather}) {
+    sum.msgs_sent += op.msgs_sent;
+    sum.bytes_sent += op.bytes_sent;
+    sum.msgs_recv += op.msgs_recv;
+    sum.bytes_recv += op.bytes_recv;
   }
   return sum;
 }
 
 std::string Comm::Stats::to_json() const {
-  const std::pair<const char*, const OpStats*> ops[] = {
-      {"p2p", &p2p},       {"barrier", &barrier}, {"bcast", &bcast},
-      {"reduce", &reduce}, {"gather", &gather}};
+  const std::pair<const char*, OpStats> ops[] = {
+      {"p2p", p2p},       {"barrier", barrier}, {"bcast", bcast},
+      {"reduce", reduce}, {"gather", gather}};
   std::string out = "\"comm\":{";
   char buf[160];
   for (const auto& [name, op] : ops) {
     std::snprintf(buf, sizeof(buf),
                   "\"%s\":{\"msgs_sent\":%llu,\"bytes_sent\":%llu,"
                   "\"msgs_recv\":%llu,\"bytes_recv\":%llu},",
-                  name, static_cast<unsigned long long>(op->msgs_sent),
-                  static_cast<unsigned long long>(op->bytes_sent),
-                  static_cast<unsigned long long>(op->msgs_recv),
-                  static_cast<unsigned long long>(op->bytes_recv));
+                  name, static_cast<unsigned long long>(op.msgs_sent),
+                  static_cast<unsigned long long>(op.bytes_sent),
+                  static_cast<unsigned long long>(op.msgs_recv),
+                  static_cast<unsigned long long>(op.bytes_recv));
     out += buf;
   }
   std::snprintf(buf, sizeof(buf),
@@ -163,21 +219,11 @@ std::string Comm::Stats::to_json() const {
 }
 
 void Comm::barrier() {
-  obs::Span span("mpi.barrier");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.barrier");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.barrier, obs::comm::kOpBarrier, kFlightName);
-  const std::uint64_t wait_start = obs::now_ns();
-  const std::uint64_t synth0 = obs::synthetic_delay_ns_this_thread();
+  const CollectiveScope scope(*this, kOpBarrier);
   if (collectives_ == CollectiveAlgo::kTree)
     barrier_dissemination();
   else
     barrier_star();
-  std::uint64_t waited = obs::now_ns() - wait_start;
-  const std::uint64_t synth = obs::synthetic_delay_ns_this_thread() - synth0;
-  waited -= std::min(waited, synth);  // injected sleeps are not barrier wait
-  stats_.barrier_wait_ns += waited;
 }
 
 // Central coordinator: everyone checks in with rank 0, rank 0 releases.
@@ -211,11 +257,7 @@ void Comm::barrier_dissemination() {
 }
 
 void Comm::bcast(Bytes& data, int root) {
-  obs::Span span("mpi.bcast");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.bcast");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.bcast, obs::comm::kOpBcast, kFlightName);
+  const CollectiveScope scope(*this, kOpBcast);
   RAXH_EXPECTS(root >= 0 && root < size());
   if (collectives_ == CollectiveAlgo::kTree) {
     bcast_binomial(data, root, kTagBcast);
@@ -256,6 +298,11 @@ void Comm::bcast_binomial(Bytes& data, int root, int tag) {
   }
 }
 
+std::vector<Bytes> Comm::gather_blobs(const Bytes& mine, int root, int tag) {
+  return collectives_ == CollectiveAlgo::kTree ? tree_gather(mine, root, tag)
+                                               : star_gather(mine, root, tag);
+}
+
 // Star gather: every non-root rank sends its blob straight to root; root
 // receives in ascending rank order. Returns blobs indexed by rank on root,
 // {} elsewhere.
@@ -278,7 +325,7 @@ std::vector<Bytes> Comm::star_gather(const Bytes& mine, int root, int tag) {
 // (rank, blob) entries from the subtree hanging off its set relative-rank
 // bits, then forwards the batch to its parent. Root ends up holding every
 // rank's original blob and indexes them by absolute rank — the rank-ordered
-// view reduce_fold_bcast folds over, which is what keeps tree reductions
+// view allreduce_of folds over, which is what keeps tree reductions
 // bit-identical to star ones (same operands, same fold order; the tree only
 // changes the routing).
 std::vector<Bytes> Comm::tree_gather(const Bytes& mine, int root, int tag) {
@@ -321,20 +368,26 @@ std::vector<Bytes> Comm::tree_gather(const Bytes& mine, int root, int tag) {
 }
 
 // The reduce skeleton shared by every allreduce flavour: move per-rank
-// operand blobs to rank 0 (star or tree routing), fold them there in
-// ascending rank order, broadcast the folded result. Folding at a single
-// rank over rank-ordered operands is the reproducibility contract — FP
-// association order is identical across algorithms, backends, transports,
-// and MAXLOC ties resolve to the lowest rank.
-Bytes Comm::reduce_fold_bcast(
-    const Bytes& mine,
-    const std::function<Bytes(const std::vector<Bytes>&)>& fold) {
-  std::vector<Bytes> blobs = collectives_ == CollectiveAlgo::kTree
-                                 ? tree_gather(mine, 0, kTagReduce)
-                                 : star_gather(mine, 0, kTagReduce);
+// operands to rank 0, fold them there in ascending rank order — `fold`
+// packs its result from the operand vector — and broadcast the packed
+// result. Folding at a single rank over rank-ordered operands is the
+// reproducibility contract — FP association order is identical across
+// algorithms, backends, transports, and MAXLOC ties resolve to the lowest
+// rank.
+template <typename T, typename Fold>
+Bytes Comm::allreduce_of(T value, const Fold& fold) {
+  Packer p;
+  p.put(value);
+  const std::vector<Bytes> blobs = gather_blobs(p.take(), 0, kTagReduce);
   Bytes result;
-  if (rank() == 0) result = fold(blobs);
-  bcast(result, 0);  // outermost ScopedOp keeps this attributed to reduce
+  if (rank() == 0) {
+    std::vector<T> operands;
+    for (const Bytes& blob : blobs) operands.push_back(Unpacker(blob).get<T>());
+    Packer out;
+    fold(operands, out);
+    result = out.take();
+  }
+  bcast(result, 0);  // the outermost scope keeps this attributed to reduce
   return result;
 }
 
@@ -345,27 +398,15 @@ void Comm::bcast_string(std::string& data, int root) {
 }
 
 Comm::MaxLoc Comm::allreduce_maxloc(double value) {
-  obs::Span span("mpi.allreduce");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.allreduce");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.reduce, obs::comm::kOpReduce, kFlightName);
-  Packer p;
-  p.put(value);
+  const CollectiveScope scope(*this, kOpReduce);
   const Bytes result =
-      reduce_fold_bcast(p.take(), [](const std::vector<Bytes>& blobs) {
-        Unpacker u0(blobs[0]);
-        MaxLoc best{u0.get<double>(), 0};
+      allreduce_of(value, [](const std::vector<double>& v, Packer& out) {
         // Strict > with ascending rank order: ties go to the lowest rank.
-        for (std::size_t r = 1; r < blobs.size(); ++r) {
-          Unpacker u(blobs[r]);
-          const double v = u.get<double>();
-          if (v > best.value) best = MaxLoc{v, static_cast<int>(r)};
-        }
-        Packer out;
+        MaxLoc best{v[0], 0};
+        for (std::size_t r = 1; r < v.size(); ++r)
+          if (v[r] > best.value) best = MaxLoc{v[r], static_cast<int>(r)};
         out.put(best.value);
         out.put(best.rank);
-        return out.take();
       });
   Unpacker u(result);
   MaxLoc best{};
@@ -375,124 +416,65 @@ Comm::MaxLoc Comm::allreduce_maxloc(double value) {
 }
 
 double Comm::allreduce_sum(double value) {
-  obs::Span span("mpi.allreduce");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.allreduce");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.reduce, obs::comm::kOpReduce, kFlightName);
-  Packer p;
-  p.put(value);
+  const CollectiveScope scope(*this, kOpReduce);
   const Bytes result =
-      reduce_fold_bcast(p.take(), [](const std::vector<Bytes>& blobs) {
-        Unpacker u0(blobs[0]);
-        double total = u0.get<double>();  // seed with rank 0's operand (not
-                                          // 0.0: preserves -0.0 semantics)
-        for (std::size_t r = 1; r < blobs.size(); ++r) {
-          Unpacker u(blobs[r]);
-          total += u.get<double>();
-        }
-        Packer out;
+      allreduce_of(value, [](const std::vector<double>& v, Packer& out) {
+        double total = v[0];  // seed with rank 0's operand (not 0.0:
+                              // preserves -0.0 semantics)
+        for (std::size_t r = 1; r < v.size(); ++r) total += v[r];
         out.put(total);
-        return out.take();
       });
-  Unpacker u(result);
-  return u.get<double>();
+  return Unpacker(result).get<double>();
 }
 
 double Comm::allreduce_max(double value) {
-  obs::Span span("mpi.allreduce");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.allreduce");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.reduce, obs::comm::kOpReduce, kFlightName);
-  Packer p;
-  p.put(value);
+  const CollectiveScope scope(*this, kOpReduce);
   const Bytes result =
-      reduce_fold_bcast(p.take(), [](const std::vector<Bytes>& blobs) {
-        Unpacker u0(blobs[0]);
-        double best = u0.get<double>();
-        for (std::size_t r = 1; r < blobs.size(); ++r) {
-          Unpacker u(blobs[r]);
-          best = std::max(best, u.get<double>());
-        }
-        Packer out;
+      allreduce_of(value, [](const std::vector<double>& v, Packer& out) {
+        double best = v[0];
+        for (std::size_t r = 1; r < v.size(); ++r) best = std::max(best, v[r]);
         out.put(best);
-        return out.take();
       });
-  Unpacker u(result);
-  return u.get<double>();
+  return Unpacker(result).get<double>();
 }
 
 long Comm::allreduce_sum_long(long value) {
-  obs::Span span("mpi.allreduce");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.allreduce");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.reduce, obs::comm::kOpReduce, kFlightName);
-  Packer p;
-  p.put(value);
+  const CollectiveScope scope(*this, kOpReduce);
   const Bytes result =
-      reduce_fold_bcast(p.take(), [](const std::vector<Bytes>& blobs) {
-        Unpacker u0(blobs[0]);
-        long total = u0.get<long>();
-        for (std::size_t r = 1; r < blobs.size(); ++r) {
-          Unpacker u(blobs[r]);
-          total += u.get<long>();
-        }
-        Packer out;
+      allreduce_of(value, [](const std::vector<long>& v, Packer& out) {
+        long total = v[0];
+        for (std::size_t r = 1; r < v.size(); ++r) total += v[r];
         out.put(total);
-        return out.take();
       });
-  Unpacker u(result);
-  return u.get<long>();
+  return Unpacker(result).get<long>();
+}
+
+// Gather skeleton: pack this rank's value, route the blobs to root, unpack
+// them there in rank order ({} elsewhere).
+template <typename T>
+std::vector<T> Comm::gather_of(const T& mine, int root,
+                               void (Packer::*put)(const T&),
+                               T (Unpacker::*get)()) {
+  Packer p;
+  (p.*put)(mine);
+  std::vector<T> out;
+  for (const Bytes& blob : gather_blobs(p.take(), root, kTagGather)) {
+    Unpacker u(blob);
+    out.push_back((u.*get)());
+  }
+  return out;
 }
 
 std::vector<std::vector<double>> Comm::gather_doubles(
     const std::vector<double>& mine, int root) {
-  obs::Span span("mpi.gather");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.gather");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.gather, obs::comm::kOpGather, kFlightName);
-  Packer p;
-  p.put_doubles(mine);
-  const std::vector<Bytes> blobs =
-      collectives_ == CollectiveAlgo::kTree
-          ? tree_gather(p.take(), root, kTagGather)
-          : star_gather(p.take(), root, kTagGather);
-  std::vector<std::vector<double>> out;
-  if (rank() == root) {
-    out.resize(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      Unpacker u(blobs[static_cast<std::size_t>(r)]);
-      out[static_cast<std::size_t>(r)] = u.get_doubles();
-    }
-  }
-  return out;
+  const CollectiveScope scope(*this, kOpGather);
+  return gather_of(mine, root, &Packer::put_doubles, &Unpacker::get_doubles);
 }
 
 std::vector<std::string> Comm::gather_strings(const std::string& mine,
                                               int root) {
-  obs::Span span("mpi.gather");
-  static const std::uint32_t kFlightName = flight::name_id("mpi.gather");
-  FlightCollective fl(kFlightName);
-  ScopedCollectiveLatency latency;
-  ScopedOp op(*this, stats_.gather, obs::comm::kOpGather, kFlightName);
-  Packer p;
-  p.put_string(mine);
-  const std::vector<Bytes> blobs =
-      collectives_ == CollectiveAlgo::kTree
-          ? tree_gather(p.take(), root, kTagGather)
-          : star_gather(p.take(), root, kTagGather);
-  std::vector<std::string> out;
-  if (rank() == root) {
-    out.resize(static_cast<std::size_t>(size()));
-    for (int r = 0; r < size(); ++r) {
-      Unpacker u(blobs[static_cast<std::size_t>(r)]);
-      out[static_cast<std::size_t>(r)] = u.get_string();
-    }
-  }
-  return out;
+  const CollectiveScope scope(*this, kOpGather);
+  return gather_of(mine, root, &Packer::put_string, &Unpacker::get_string);
 }
 
 // --- nonblocking point-to-point ---
@@ -501,28 +483,26 @@ Comm::Request Comm::isend(int dest, int tag, const Bytes& payload) {
   // Eager completion into the transport's buffering (see comm.h): by the
   // time send() returns the message is queued, so the request is done.
   Request req;
-  req.is_recv_ = false;
   req.peer_ = dest;
   req.tag_ = tag;
+  const bool timed = obs::enabled();
   const bool fl = flight::enabled();
-  obs::comm::Block* ob = obs_block();
-  const std::uint64_t t0 = (ob != nullptr || fl) ? obs::now_ns() : 0;
+  const std::uint64_t t0 = (timed || fl) ? obs::now_ns() : 0;
   if (fl)
     flight::record(flight::Kind::kReqPost, flight::peer_tag(dest, tag),
                    /*is_recv=*/0);
   send(dest, tag, payload);
   // Eager sends are in flight exactly as long as the caller is blocked in
   // them, so they honestly contribute zero overlap.
-  if (ob != nullptr) {
+  if (timed) {
     const std::uint64_t dur = obs::now_ns() - t0;
-    obs::comm::record_request(ob, /*completed_by_test=*/false, dur, dur);
+    obs::comm::record_request(block(), /*completed_by_test=*/false, dur, dur);
   }
   return req;
 }
 
 Comm::Request Comm::irecv(int src, int tag) {
   Request req;
-  req.is_recv_ = true;
   req.done_ = false;
   req.peer_ = src;
   req.tag_ = tag;
@@ -534,52 +514,42 @@ Comm::Request Comm::irecv(int src, int tag) {
   return req;
 }
 
+// The recv below is the normal counted path, so Stats and flight events are
+// identical whether a message arrives via recv, wait, or a test that
+// completed it. The overlap record splits the request's posted→completed
+// time from the slice spent blocked in this receive; the flight event
+// carries the in-flight time for test() and the blocked time for wait().
+void Comm::complete(Request& req, bool by_test) {
+  const bool timed = obs::enabled();
+  const bool fl = flight::enabled();
+  const std::uint64_t t0 =
+      ((timed || fl) && req.posted_ns_ != 0) ? obs::now_ns() : 0;
+  req.payload_ = recv(req.peer_, req.tag_);
+  req.done_ = true;
+  if (t0 == 0) return;
+  const std::uint64_t now = obs::now_ns();
+  if (timed)
+    obs::comm::record_request(block(), by_test, now - req.posted_ns_,
+                              now - t0);
+  if (fl)
+    flight::record(
+        by_test ? flight::Kind::kReqTestOk : flight::Kind::kReqWaitDone,
+        flight::peer_tag(req.peer_, req.tag_),
+        now - (by_test ? req.posted_ns_ : t0));
+  req.posted_ns_ = 0;
+}
+
 bool Comm::test(Request& req) {
   if (req.done_) return true;
   // do_probe is per-source: it reports a message (or the peer's death)
-  // observable on src's channel. The recv below is the normal counted path,
-  // so Stats and flight events are identical whether a message arrives via
-  // recv, wait, or a test that completed it.
+  // observable on src's channel.
   if (!do_probe(req.peer_)) return false;
-  const bool fl = flight::enabled();
-  obs::comm::Block* ob = obs_block();
-  const std::uint64_t t0 =
-      ((ob != nullptr || fl) && req.posted_ns_ != 0) ? obs::now_ns() : 0;
-  req.payload_ = recv(req.peer_, req.tag_);
-  req.done_ = true;
-  if (t0 != 0) {
-    const std::uint64_t now = obs::now_ns();
-    if (ob != nullptr)
-      obs::comm::record_request(ob, /*completed_by_test=*/true,
-                                now - req.posted_ns_, now - t0);
-    if (fl)
-      flight::record(flight::Kind::kReqTestOk,
-                     flight::peer_tag(req.peer_, req.tag_),
-                     now - req.posted_ns_);
-    req.posted_ns_ = 0;
-  }
+  complete(req, /*by_test=*/true);
   return true;
 }
 
 Bytes Comm::wait(Request& req) {
-  if (!req.done_) {
-    const bool fl = flight::enabled();
-    obs::comm::Block* ob = obs_block();
-    const std::uint64_t t0 =
-        ((ob != nullptr || fl) && req.posted_ns_ != 0) ? obs::now_ns() : 0;
-    req.payload_ = recv(req.peer_, req.tag_);
-    req.done_ = true;
-    if (t0 != 0) {
-      const std::uint64_t now = obs::now_ns();
-      if (ob != nullptr)
-        obs::comm::record_request(ob, /*completed_by_test=*/false,
-                                  now - req.posted_ns_, now - t0);
-      if (fl)
-        flight::record(flight::Kind::kReqWaitDone,
-                       flight::peer_tag(req.peer_, req.tag_), now - t0);
-      req.posted_ns_ = 0;
-    }
-  }
+  if (!req.done_) complete(req, /*by_test=*/false);
   return std::move(req.payload_);
 }
 

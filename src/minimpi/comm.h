@@ -31,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "util/check.h"
-
 namespace raxh::obs::comm {
 struct Block;  // comm-plane accumulation block (obs/comm_obs.h)
 }  // namespace raxh::obs::comm
@@ -86,6 +84,9 @@ struct CommOptions {
   std::size_t shm_ring_bytes = std::size_t{1} << 16;
 };
 
+class Packer;
+class Unpacker;
+
 class Comm {
  public:
   // Retires this comm's comm-plane block (obs/comm_obs.h) so its traffic
@@ -96,10 +97,13 @@ class Comm {
   [[nodiscard]] virtual int size() const = 0;
 
   // --- per-rank communication statistics ---
-  // Counted at the send/recv layer of the base class, so both backends report
-  // identical numbers for identical protocols. Attribution is to the
-  // *outermost* collective in flight (e.g. the broadcast inside an allreduce
-  // counts as reduce traffic); traffic outside any collective is p2p.
+  // A view of this comm's comm-plane block (obs/comm_obs.h), which the
+  // send/recv layer of the base class feeds once per message whether or not
+  // observability is on — so both backends report identical numbers for
+  // identical protocols, and the per-op fold of comm_matrix() equals these
+  // by construction. Attribution is to the *outermost* collective in flight
+  // (e.g. the broadcast inside an allreduce counts as reduce traffic);
+  // traffic outside any collective is p2p.
   struct OpStats {
     std::uint64_t msgs_sent = 0;
     std::uint64_t bytes_sent = 0;
@@ -108,7 +112,9 @@ class Comm {
   };
   struct Stats {
     OpStats p2p, barrier, bcast, reduce, gather;
-    std::uint64_t barrier_wait_ns = 0;  // time blocked inside barrier()
+    // Time blocked inside barrier(): the barrier's collective latency
+    // sample, booked whether or not observability is on.
+    std::uint64_t barrier_wait_ns = 0;
     // Fault-plan sleeps this rank served (FaultyComm `delay` actions). Kept
     // separate — and subtracted from this rank's own latency samples — so
     // chaos runs don't pollute p95/p99 comm latency in --metrics-out.
@@ -116,14 +122,11 @@ class Comm {
     [[nodiscard]] OpStats total() const;
     [[nodiscard]] std::string to_json() const;  // {"comm":{...}} section
   };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  // Resetting while a collective is in flight would zero the OpStats its
-  // ScopedOp still targets and silently mis-attribute the rest of that
-  // collective, so it is a contract violation (asserted), not a rebind.
-  void reset_stats() {
-    RAXH_EXPECTS(active_scoped_ops_ == 0);
-    stats_ = Stats{};
-  }
+  [[nodiscard]] Stats stats() const;
+  // Zeroes this comm's block and wait totals. A reset while a collective is
+  // in flight would split that collective's traffic across the reset, so it
+  // is a contract violation (asserted).
+  void reset_stats();
 
   // Collective algorithm selection; run_*_ranks applies CommOptions, and
   // decorators copy the inner comm's choice. Switch only between
@@ -155,7 +158,6 @@ class Comm {
 
    private:
     friend class Comm;
-    bool is_recv_ = false;
     bool done_ = true;
     int peer_ = -1;
     int tag_ = 0;
@@ -202,12 +204,10 @@ class Comm {
   virtual void fault_tick() {}
 
   // --- comm-plane observability (obs/comm_obs.h) ---
-  // The per-(peer, op) edge matrix this comm accumulates into while
-  // obs::enabled(); nullptr until the first enabled record. Tests reconcile
-  // obs::comm::totals(comm_matrix()) against stats().
-  [[nodiscard]] const obs::comm::Block* comm_matrix() const {
-    return comm_block_;
-  }
+  // The per-(peer, op) edge matrix this comm accumulates into; nullptr until
+  // the first counted send or recv. Message and byte counts are always on;
+  // send/recv times only while obs::enabled(). stats() is its per-op fold.
+  [[nodiscard]] const obs::comm::Block* comm_matrix() const { return block_; }
   // Transport hooks (shm_ring.h's RingChannel): one completed full-ring
   // stall episode toward `peer`, and a post-send occupancy sample.
   void note_ring_stall(int peer, std::uint64_t ns);
@@ -245,9 +245,7 @@ class Comm {
   }
 
   // Fault decorators report their injected sleeps (see Stats above).
-  void note_synthetic_delay_ns(std::uint64_t ns) {
-    stats_.synthetic_delay_ns += ns;
-  }
+  void note_synthetic_delay_ns(std::uint64_t ns) { synthetic_delay_ns_ += ns; }
 
   static constexpr int kTagBarrier = 1000000;
   static constexpr int kTagBcast = 1000001;
@@ -255,74 +253,47 @@ class Comm {
   static constexpr int kTagGather = 1000003;
 
  private:
-  // Scoped attribution: routes send/recv counts to one collective's OpStats.
-  // Outermost-wins, so nested collectives keep the caller's attribution.
-  // The depth count is what lets reset_stats() reject a reset while any
-  // collective is still in flight.
-  class ScopedOp {
-   public:
-    // op_index is the obs::comm:: op slot matching `op` (kOpBarrier, ...);
-    // flight_name the interned collective name for kCollEdge hop events.
-    // When outermost, the constructor also bumps the per-comm collective
-    // sequence number so one collective call's hops share an instance id.
-    ScopedOp(Comm& comm, OpStats& op, int op_index, std::uint32_t flight_name)
-        : comm_(comm),
-          saved_(comm.current_op_),
-          saved_index_(comm.current_op_index_),
-          saved_name_(comm.current_coll_name_) {
-      if (comm_.current_op_ == &comm_.stats_.p2p) {
-        comm_.current_op_ = &op;
-        comm_.current_op_index_ = op_index;
-        comm_.current_coll_name_ = flight_name;
-        ++comm_.coll_seq_;
-      }
-      ++comm_.active_scoped_ops_;
-    }
-    ~ScopedOp() {
-      --comm_.active_scoped_ops_;
-      comm_.current_op_ = saved_;
-      comm_.current_op_index_ = saved_index_;
-      comm_.current_coll_name_ = saved_name_;
-    }
+  // One collective call's single measurement (comm.cpp): attribution by op
+  // index (outermost wins), one pair of clock samples feeding the flight
+  // kCollBegin/kCollEnd pair, the span, the collective-latency histogram
+  // and, for barrier, barrier_wait_ns. Every collective entry point opens
+  // exactly one.
+  class CollectiveScope;
 
-   private:
-    Comm& comm_;
-    OpStats* saved_;
-    int saved_index_;
-    std::uint32_t saved_name_;
-  };
+  // This comm's block, acquired on the first counted send or recv.
+  obs::comm::Block* block();
 
-  // Lazily acquires this comm's obs::comm block (rank must be known). Null
-  // while obs is disabled — the hot path stays one relaxed load + branch.
-  obs::comm::Block* obs_block();
-
-  // Tree-algorithm building blocks (comm.cpp). tree_gather moves every
-  // rank's blob to root up a binomial tree and returns them in rank order
-  // on root ({} elsewhere) — reduces fold over that order, which is what
-  // keeps tree results bit-identical to star's.
+  // Routing building blocks (comm.cpp). gather_blobs moves every rank's blob
+  // to root (binomial tree or star) and returns them in rank order on root
+  // ({} elsewhere) — reduces fold over that order, which is what keeps tree
+  // results bit-identical to star's.
   void barrier_star();
   void barrier_dissemination();
   void bcast_binomial(Bytes& data, int root, int tag);
+  std::vector<Bytes> gather_blobs(const Bytes& mine, int root, int tag);
   std::vector<Bytes> tree_gather(const Bytes& mine, int root, int tag);
   std::vector<Bytes> star_gather(const Bytes& mine, int root, int tag);
-  // Shared reduce skeleton: gather per-rank operand blobs (star or tree),
-  // fold on rank 0 in rank order, broadcast the folded result.
-  Bytes reduce_fold_bcast(
-      const Bytes& mine,
-      const std::function<Bytes(const std::vector<Bytes>&)>& fold);
+  // The bodies the allreduce and gather flavours share (comm.cpp).
+  template <typename T, typename Fold>
+  Bytes allreduce_of(T value, const Fold& fold);
+  template <typename T>
+  std::vector<T> gather_of(const T& mine, int root,
+                           void (Packer::*put)(const T&),
+                           T (Unpacker::*get)());
+  // Performs a pending irecv's receive and books its completion.
+  void complete(Request& req, bool by_test);
 
-  Stats stats_;
-  OpStats* current_op_ = &stats_.p2p;
-  int active_scoped_ops_ = 0;
   CollectiveAlgo collectives_ = CollectiveAlgo::kTree;
-  // Comm-plane accumulation (obs/comm_obs.h): acquired on first enabled
-  // record, retired by ~Comm. The index/name pair mirrors current_op_ for
-  // the per-edge matrix and kCollEdge attribution; coll_seq_ counts
-  // outermost collectives so hops of one call share an instance id.
-  obs::comm::Block* comm_block_ = nullptr;
-  int current_op_index_ = 0;
-  std::uint32_t current_coll_name_ = 0;
+  obs::comm::Block* block_ = nullptr;  // retired by ~Comm
+  // obs::comm op slot of the outermost collective in flight (p2p outside
+  // any), the number of collective scopes open (reset_stats() rejects a
+  // reset inside one), and the count of outermost collectives, so hops of
+  // one call share a kCollEdge instance id.
+  int op_ = 0;
+  int open_collectives_ = 0;
   std::uint32_t coll_seq_ = 0;
+  std::uint64_t barrier_wait_ns_ = 0;
+  std::uint64_t synthetic_delay_ns_ = 0;
 };
 
 // --- serialization helpers for payloads ---

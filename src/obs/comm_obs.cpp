@@ -170,28 +170,31 @@ void retire(Block* block) {
   delete block;
 }
 
+void clear(Block* block) {
+  if (block != nullptr) zero_block(block);
+}
+
 void record_send(Block* block, int peer, int op, std::uint64_t bytes,
-                 std::uint64_t ns) {
-  if (block == nullptr) return;
+                 bool timed, std::uint64_t ns) {
   auto& e = block->edges[clamp_peer(block, peer)][op];
   add_relaxed(e[kMsgsSent], 1);
   add_relaxed(e[kBytesSent], bytes);
+  if (!timed) return;
   add_relaxed(e[kSendNs], ns);
   count(Counter::kCommBytesSent, bytes);
 }
 
 void record_recv(Block* block, int peer, int op, std::uint64_t bytes,
-                 std::uint64_t ns) {
-  if (block == nullptr) return;
+                 bool timed, std::uint64_t ns) {
   auto& e = block->edges[clamp_peer(block, peer)][op];
   add_relaxed(e[kMsgsRecv], 1);
   add_relaxed(e[kBytesRecv], bytes);
+  if (!timed) return;
   add_relaxed(e[kRecvNs], ns);
   count(Counter::kCommBytesRecv, bytes);
 }
 
 void record_ring_stall(Block* block, int peer, std::uint64_t ns) {
-  if (block == nullptr) return;
   auto& r = block->rings[clamp_peer(block, peer)];
   add_relaxed(r[kStalls], 1);
   add_relaxed(r[kStalledNs], ns);
@@ -200,7 +203,6 @@ void record_ring_stall(Block* block, int peer, std::uint64_t ns) {
 }
 
 void record_ring_depth(Block* block, int peer, std::uint64_t bytes) {
-  if (block == nullptr) return;
   auto& hwm = block->rings[clamp_peer(block, peer)][kHwmBytes];
   if (bytes > hwm.load(std::memory_order_relaxed))
     hwm.store(bytes, std::memory_order_relaxed);
@@ -208,7 +210,6 @@ void record_ring_depth(Block* block, int peer, std::uint64_t bytes) {
 
 void record_request(Block* block, bool completed_by_test,
                     std::uint64_t inflight_ns, std::uint64_t blocked_ns) {
-  if (block == nullptr) return;
   add_relaxed(block->overlap[kReqs], 1);
   add_relaxed(block->overlap[completed_by_test ? kReqTest : kReqWait], 1);
   add_relaxed(block->overlap[kReqInflightNs], inflight_ns);

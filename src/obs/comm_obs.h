@@ -1,21 +1,25 @@
 // Communication observability plane: per-rank (peer, op) edge matrices,
 // shm-ring backpressure gauges, and nonblocking-request overlap accounting.
 //
-// minimpi's counted send()/recv() layer calls record_send/record_recv at the
-// exact sites that bump Comm::Stats, so a block's per-op byte/message totals
-// reconcile *exactly* with the per-op CommStats — raxh_comm asserts that
-// equality offline and tests assert it in-process. Accumulation follows the
-// hist.cpp idiom: each Comm owns a padded block of relaxed atomics written
-// only by the communicating thread; snapshots read them from any thread.
+// Each minimpi Comm owns one block and feeds it from its counted
+// send()/recv() layer, once per message, whether or not observability is
+// on. Comm::Stats is a per-op fold of that block, so the matrix
+// "reconciles exactly" with CommStats by construction; raxh_comm's offline
+// check still guards the two sections of a --metrics-out file against each
+// other. Accumulation follows the hist.cpp idiom: each block is padded
+// relaxed atomics written only by the communicating thread; snapshots read
+// them from any thread.
 //
 // Layering: this header is part of raxh_obs, which minimpi links — so it
 // must not include minimpi headers. The (peer, op) convention is defined
 // here and minimpi translates into it (op indices match the declaration
 // order of Comm::Stats: p2p, barrier, bcast, reduce, gather).
 //
-// Everything here is gated on obs::enabled() by the callers: with
+// Message and byte counts are always on. Everything timed — send/recv ns,
+// ring gauges, overlap — is gated on obs::enabled() by the callers: with
 // observability off the comm plane costs minimpi one relaxed load + branch
-// per send/recv (bench_obs_overhead's comm mode enforces the <2% budget).
+// per send/recv on top of the counts (bench_obs_overhead's comm mode
+// enforces the <2% budget).
 #pragma once
 
 #include <array>
@@ -45,18 +49,23 @@ inline constexpr int kNumOps = 5;
 // through the record_* hooks, read through totals()/snapshot().
 struct Block;
 
-// Allocate + register a block for `rank` (minimpi calls this lazily on the
-// first enabled record of a Comm). retire() folds the block's content into
-// a process-wide retired aggregate and frees it — a Comm's traffic stays
-// visible in snapshot() after the Comm is destroyed.
+// Allocate + register a block for `rank` (minimpi calls this on the first
+// counted send or recv of a Comm). retire() folds the block's content into
+// a process-wide retired aggregate and frees it (null-safe) — a Comm's
+// traffic stays visible in snapshot() after the Comm is destroyed.
 [[nodiscard]] Block* acquire(int rank);
 void retire(Block* block);
+// Zero one block (null-safe): Comm::reset_stats().
+void clear(Block* block);
 
-// --- hot-path hooks (null-safe; relaxed owner-thread writes) ---
+// --- hot-path hooks (relaxed owner-thread writes) ---
+// One message of `bytes` on the (peer, op) edge. `ns`, the time spent in
+// the op, is booked only when `timed` — the caller sampled obs::enabled()
+// once for the op — together with the process-wide byte counter.
 void record_send(Block* block, int peer, int op, std::uint64_t bytes,
-                 std::uint64_t ns);
+                 bool timed, std::uint64_t ns);
 void record_recv(Block* block, int peer, int op, std::uint64_t bytes,
-                 std::uint64_t ns);
+                 bool timed, std::uint64_t ns);
 // One completed full-ring stall episode on the send path to `peer`.
 void record_ring_stall(Block* block, int peer, std::uint64_t ns);
 // Post-send occupancy sample of the ring to `peer`; keeps the high-water mark.
@@ -99,8 +108,8 @@ struct OverlapTotals {
   [[nodiscard]] double overlap_ratio() const;
 };
 
-// Per-op totals of one live block (tests reconcile these against the owning
-// Comm's Stats). Null block → zeros.
+// Per-op totals of one live block (Comm::stats() is built from these).
+// Null block → zeros.
 struct BlockTotals {
   std::array<EdgeTotals, kNumOps> per_op;
   OverlapTotals overlap;

@@ -1,7 +1,8 @@
 // End-to-end smoke tests of the `raxh` CLI binary: each analysis mode runs
-// against a generated PHYLIP file and produces its output trees. Skipped if
-// the binary is not where the build puts it (e.g. when tests are run from an
-// unusual working directory).
+// against a generated PHYLIP file and produces its output trees; the daemon
+// tools' flag checks run here too. A case is skipped if its binary is not
+// where the build puts it (e.g. when tests are run from an unusual working
+// directory).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -46,8 +47,10 @@ class CliSmoke : public ::testing::Test {
     std::ofstream(true_tree_) << sim.true_tree_newick << '\n';
   }
 
-  int run(const std::string& args) const {
-    const std::string cmd = binary_.string() + " " + args + " >" +
+  int run(const std::string& args) const { return run_binary(binary_, args); }
+
+  int run_binary(const fs::path& binary, const std::string& args) const {
+    const std::string cmd = binary.string() + " " + args + " >" +
                             (work_ / "stdout.txt").string() + " 2>&1";
     return std::system(cmd.c_str());
   }
@@ -193,6 +196,29 @@ TEST_F(CliSmoke, RemovedSimdFlagExitsTwo) {
 TEST_F(CliSmoke, MalformedNumberExitsTwo) {
   const int status = run("-s " + alignment_ + " -f a -N abc -n " +
                          (work_ / "badn").string());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output();
+  EXPECT_NE(output().find("-N=abc"), std::string::npos) << output();
+}
+
+// The daemon tools parse their numbers before connecting, so a malformed
+// one exits 2 naming the flag even with no daemon listening.
+TEST_F(CliSmoke, TopMalformedIntervalExitsTwo) {
+  const fs::path top = fs::absolute("../tools/raxh_top");
+  if (!fs::exists(top)) GTEST_SKIP() << "raxh_top binary not found";
+  const int status = run_binary(
+      top, "--interval-ms=abc --socket=" + (work_ / "none.sock").string());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output();
+  EXPECT_NE(output().find("-interval-ms=abc"), std::string::npos) << output();
+}
+
+TEST_F(CliSmoke, ClientMalformedNumberExitsTwo) {
+  const fs::path client = fs::absolute("../tools/raxhd_client");
+  if (!fs::exists(client)) GTEST_SKIP() << "raxhd_client binary not found";
+  const int status =
+      run_binary(client, "submit -s " + alignment_ + " -N abc --socket=" +
+                             (work_ / "none.sock").string());
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2) << output();
   EXPECT_NE(output().find("-N=abc"), std::string::npos) << output();

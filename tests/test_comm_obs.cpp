@@ -1,6 +1,9 @@
 // Comm-plane observability (obs/comm_obs.* + the minimpi hooks): the
-// per-(peer, op) edge matrix must reconcile *exactly* with Comm::Stats on
-// both backends, both transports, and both collective topologies; shm-ring
+// per-(peer, op) edge matrix must reconcile *exactly* with Comm::Stats (its
+// view) on both backends, both transports, and both collective topologies,
+// with observability on or off; one collective call books one duration
+// into the flight recorder, the latency histogram and the barrier wait;
+// shm-ring
 // backpressure must surface in the ring gauges; nonblocking report
 // collection must show positive overlap; the metrics JSON round-trips
 // through the raxh_comm parser; and an injected slow rank shows up as a
@@ -23,6 +26,7 @@
 #include "minimpi/fault.h"
 #include "obs/comm_obs.h"
 #include "obs/flight.h"
+#include "obs/hist.h"
 #include "obs/obs.h"
 #include "obs/postmortem.h"
 
@@ -126,6 +130,43 @@ TEST(CommObs, FaultDecoratorMatrixReconcilesToo) {
     reconcile_rank(comm, &failures);
   });
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(CommObs, StatsAreTheMatrixWithObsOff) {
+  // Message and byte counts do not wait for obs::enabled(): a disabled run
+  // still has a matrix, stats() is its per-op fold, and nothing is timed.
+  obs::set_enabled(false);
+  comm_obs::reset();
+  mpi::run_thread_ranks(3, [](mpi::Comm& comm) {
+    run_traffic(comm);
+    ASSERT_NE(comm.comm_matrix(), nullptr);
+    const comm_obs::BlockTotals t = comm_obs::totals(comm.comm_matrix());
+    const mpi::Comm::Stats s = comm.stats();
+    const mpi::Comm::OpStats per[comm_obs::kNumOps] = {
+        s.p2p, s.barrier, s.bcast, s.reduce, s.gather};
+    for (int op = 0; op < comm_obs::kNumOps; ++op) {
+      EXPECT_TRUE(op_matches(t.per_op[op], per[op])) << comm_obs::op_name(op);
+      EXPECT_EQ(t.per_op[op].send_ns, 0u) << comm_obs::op_name(op);
+      EXPECT_EQ(t.per_op[op].recv_ns, 0u) << comm_obs::op_name(op);
+    }
+    EXPECT_GE(s.p2p.bytes_sent, 257u);
+    EXPECT_GT(s.total().msgs_recv, 0u);
+    EXPECT_EQ(t.overlap.inflight_ns, 0u);
+    EXPECT_EQ(t.overlap.blocked_ns, 0u);
+    EXPECT_EQ(s.synthetic_delay_ns, 0u);
+
+    comm.reset_stats();
+    const comm_obs::BlockTotals zt = comm_obs::totals(comm.comm_matrix());
+    const mpi::Comm::Stats zs = comm.stats();
+    for (int op = 0; op < comm_obs::kNumOps; ++op) {
+      EXPECT_EQ(zt.per_op[op].msgs_sent + zt.per_op[op].msgs_recv, 0u);
+      EXPECT_EQ(zt.per_op[op].bytes_sent + zt.per_op[op].bytes_recv, 0u);
+    }
+    EXPECT_EQ(zs.total().msgs_sent + zs.total().msgs_recv, 0u);
+    EXPECT_EQ(zs.total().bytes_sent + zs.total().bytes_recv, 0u);
+    EXPECT_EQ(zs.barrier_wait_ns, 0u);
+  });
+  comm_obs::reset();
 }
 
 // --- shm ring gauges ---
@@ -387,6 +428,42 @@ TEST(CommObs, TreeCollectivesStampCollectiveEdgeEvents) {
   const std::string report = pm::format_edge_report(merged);
   EXPECT_NE(report.find("mpi.bcast"), std::string::npos) << report;
   EXPECT_NE(report.find("critical edge"), std::string::npos) << report;
+  flight::set_dump_dir("");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CommObs, CollectiveDurationIsOneMeasurement) {
+  // One barrier per rank, no fault plan: the flight kCollEnd duration, the
+  // rank's barrier_wait_ns and its collective-latency sample all come from
+  // the same pair of clock samples, so they are equal, not merely close.
+  CommObsScope scope;
+  obs::reset();
+  const std::string dir = fresh_dir("raxh_commobs_one");
+  flight::set_enabled(true);
+  flight::set_dump_dir(dir);
+  flight::reset();
+  std::uint64_t wait[2] = {0, 0};
+  mpi::run_thread_ranks(2, [&](mpi::Comm& comm) {
+    comm.barrier();
+    wait[comm.rank()] = comm.stats().barrier_wait_ns;
+    flight::dump_now(comm.rank(), "end of run");
+  });
+
+  for (int r = 0; r < 2; ++r) {
+    const flight::Blackbox box =
+        flight::read_blackbox(flight::dump_path_for_rank(r));
+    std::vector<std::uint64_t> ends;
+    for (const auto& ev : box.all_events())
+      if (ev.kind == flight::Kind::kCollEnd && ev.rank == r &&
+          box.name(ev.a) == "mpi.barrier")
+        ends.push_back(ev.b);
+    ASSERT_EQ(ends.size(), 1u) << "rank " << r;
+    EXPECT_GT(wait[r], 0u);
+    EXPECT_EQ(wait[r], ends[0]) << "rank " << r;
+  }
+  const obs::HistSnapshot hist = obs::hist_snapshot(obs::Hist::kCollectiveNs);
+  EXPECT_EQ(hist.count, 2u);
+  EXPECT_EQ(hist.sum_ns, wait[0] + wait[1]);
   flight::set_dump_dir("");
   std::filesystem::remove_all(dir);
 }

@@ -581,10 +581,9 @@ TEST(ProtocolViolationDeath, PayloadSizeMismatchAbortsOnProcesses) {
 // --- reset_stats: legal between collectives, fatal inside one ---
 
 // A decorator whose transport hook calls reset_stats() — i.e. a reset firing
-// while the enclosing collective's ScopedOp is still live. This reproduced a
-// real mis-attribution bug: the reset zeroed the OpStats the ScopedOp was
-// still pointing at, and the rest of the collective counted into freed-then-
-// rebuilt zeros. It is now a precondition violation.
+// while the enclosing collective's scope is still open, which would split
+// that collective's traffic across the reset. It is a precondition
+// violation.
 class ResetMidCollectiveComm final : public Comm {
  public:
   explicit ResetMidCollectiveComm(Comm& inner) : inner_(&inner) {

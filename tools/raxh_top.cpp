@@ -172,7 +172,13 @@ int main(int argc, char** argv) {
     return 0;
   }
   const std::string target = daemon_target(cli);
-  const long interval_ms = cli.int_or("-interval-ms", 1000);
+  long interval_ms = 0;
+  try {
+    interval_ms = cli.int_or("-interval-ms", 1000);
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "raxh_top: %s\n", e.what());
+    return 2;
+  }
   const bool once = cli.has("-once");
 
   try {

@@ -78,7 +78,10 @@ std::string job_id_arg(const CliParser& cli, const char* command) {
   return pos[1];
 }
 
-int cmd_submit(serve::Client& client, const CliParser& cli) {
+// Builds the submit request from the flags; returns 0, or the exit code of
+// a usage error. Runs before connecting, so a bad flag exits 2 without a
+// daemon; a malformed number throws CliError.
+int read_submit(const CliParser& cli, serve::JobRequest& request) {
   const auto alignment_path = cli.value("s");
   if (!alignment_path) {
     std::fprintf(stderr, "error: submit requires -s <alignment.phy>\n");
@@ -89,7 +92,6 @@ int cmd_submit(serve::Client& client, const CliParser& cli) {
     std::fprintf(stderr, "error: cannot open %s\n", alignment_path->c_str());
     return 2;
   }
-  serve::JobRequest request;
   request.alignment.assign(std::istreambuf_iterator<char>(in),
                            std::istreambuf_iterator<char>());
   request.name = cli.value_or("n", "raxh");
@@ -104,10 +106,14 @@ int cmd_submit(serve::Client& client, const CliParser& cli) {
   // single-dash one (-tenant LABEL) the other submit flags use.
   request.tenant = cli.value_or("-tenant", cli.value_or("tenant", ""));
   request.checkpoint = cli.has("-checkpoint");
+  return 0;
+}
 
+int cmd_submit(serve::Client& client, const serve::JobRequest& request,
+               bool wait) {
   const std::string id = client.submit(request);
   std::printf("%s\n", id.c_str());
-  if (!cli.has("-wait")) return 0;
+  if (!wait) return 0;
   const serve::JobStatus final_status =
       client.stream(id, [](const serve::JobStatus& s) { print_status(s); });
   print_status(final_status);
@@ -139,8 +145,14 @@ int main(int argc, char** argv) {
   const std::string command = pos[0];
 
   try {
+    serve::JobRequest request;
+    if (command == "submit") {
+      const int rc = read_submit(cli, request);
+      if (rc != 0) return rc;
+    }
     serve::Client client = serve::Client::connect(daemon_target(cli));
-    if (command == "submit") return cmd_submit(client, cli);
+    if (command == "submit")
+      return cmd_submit(client, request, cli.has("-wait"));
     if (command == "status") {
       print_status(client.status(job_id_arg(cli, "status")));
       return 0;
@@ -173,6 +185,9 @@ int main(int argc, char** argv) {
     }
     std::fprintf(stderr, "error: unknown command '%s'\n", command.c_str());
     usage(argv[0]);
+    return 2;
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   } catch (const serve::ServeError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
