@@ -18,11 +18,18 @@ int main(int argc, char** argv) {
   const CliParser cli(argc, argv);
 
   DataShape shape;
-  shape.taxa = static_cast<std::size_t>(cli.int_or("taxa", 218));
-  shape.patterns = static_cast<std::size_t>(cli.int_or("patterns", 1846));
+  int cores = 0;
+  int bootstraps = 0;
+  try {
+    shape.taxa = static_cast<std::size_t>(cli.int_or("taxa", 218));
+    shape.patterns = static_cast<std::size_t>(cli.int_or("patterns", 1846));
+    cores = static_cast<int>(cli.int_or("cores", 80));
+    bootstraps = static_cast<int>(cli.int_or("N", 100));
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   const std::string machine_name = cli.value_or("machine", "Dash");
-  const int cores = static_cast<int>(cli.int_or("cores", 80));
-  const int bootstraps = static_cast<int>(cli.int_or("N", 100));
 
   const Machine& machine = machine_by_name(machine_name);
   PerfModel model(machine, shape);

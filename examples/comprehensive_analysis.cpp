@@ -28,6 +28,24 @@ int main(int argc, char** argv) {
   using namespace raxh;
   const CliParser cli(argc, argv);
 
+  // Numbers first: a malformed one is a usage error before any work starts.
+  HybridOptions options;
+  int processes = 0;
+  try {
+    options.analysis.specified_bootstraps =
+        static_cast<int>(cli.int_or("N", 20));
+    options.analysis.parsimony_seed = cli.int_or("p", 12345);
+    options.analysis.bootstrap_seed = cli.int_or("x", 12345);
+    options.analysis.num_threads = static_cast<int>(cli.int_or("T", 1));
+    processes = static_cast<int>(cli.int_or("np", 2));
+  } catch (const CliError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
+  options.compute_support = true;
+  options.run_bootstopping = true;
+  const std::string base = cli.value_or("o", "comprehensive");
+
   Alignment alignment = [&] {
     if (auto path = cli.value("s")) {
       std::printf("reading %s\n", path->c_str());
@@ -42,17 +60,6 @@ int main(int argc, char** argv) {
     return simulate_alignment(cfg).alignment;
   }();
   const auto patterns = PatternAlignment::compress(alignment);
-
-  HybridOptions options;
-  options.analysis.specified_bootstraps =
-      static_cast<int>(cli.int_or("N", 20));
-  options.analysis.parsimony_seed = cli.int_or("p", 12345);
-  options.analysis.bootstrap_seed = cli.int_or("x", 12345);
-  options.analysis.num_threads = static_cast<int>(cli.int_or("T", 1));
-  options.compute_support = true;
-  options.run_bootstopping = true;
-  const int processes = static_cast<int>(cli.int_or("np", 2));
-  const std::string base = cli.value_or("o", "comprehensive");
 
   const auto schedule =
       make_schedule(options.analysis.specified_bootstraps, processes);

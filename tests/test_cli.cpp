@@ -1,6 +1,7 @@
 // End-to-end smoke tests of the `raxh` CLI binary: each analysis mode runs
-// against a generated PHYLIP file and produces its output trees; the daemon
-// tools' flag checks run here too. A case is skipped if its binary is not
+// against a generated PHYLIP file and produces its output trees; the flag
+// checks of the daemon tools, raxh_make_alignment and the examples run here
+// too. A case is skipped if its binary is not
 // where the build puts it (e.g. when tests are run from an unusual working
 // directory).
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "bio/io.h"
 #include "bio/seqsim.h"
@@ -219,6 +221,41 @@ TEST_F(CliSmoke, ClientMalformedNumberExitsTwo) {
   const int status =
       run_binary(client, "submit -s " + alignment_ + " -N abc --socket=" +
                              (work_ / "none.sock").string());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output();
+  EXPECT_NE(output().find("-N=abc"), std::string::npos) << output();
+}
+
+// raxh_make_alignment rejects a malformed number, a partly numeric one
+// included, before it writes anything.
+TEST_F(CliSmoke, MakeAlignmentMalformedNumberExitsTwo) {
+  const fs::path tool = fs::absolute("../tools/raxh_make_alignment");
+  if (!fs::exists(tool)) GTEST_SKIP() << "raxh_make_alignment not found";
+  for (const auto& [args, flag] :
+       {std::pair<std::string, std::string>{"-taxa abc", "-taxa=abc"},
+        {"-sites 60x0", "-sites=60x0"}}) {
+    const fs::path out = work_ / "bad.phy";
+    const int status = run_binary(tool, "-o " + out.string() + " " + args);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args << ": " << output();
+    EXPECT_NE(output().find(flag), std::string::npos) << output();
+    EXPECT_FALSE(fs::exists(out)) << args;
+  }
+}
+
+TEST_F(CliSmoke, ClusterPlannerMalformedNumberExitsTwo) {
+  const fs::path planner = fs::absolute("../examples/cluster_planner");
+  if (!fs::exists(planner)) GTEST_SKIP() << "cluster_planner not found";
+  const int status = run_binary(planner, "-taxa abc");
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output();
+  EXPECT_NE(output().find("-taxa=abc"), std::string::npos) << output();
+}
+
+TEST_F(CliSmoke, ComprehensiveExampleMalformedNumberExitsTwo) {
+  const fs::path example = fs::absolute("../examples/comprehensive_analysis");
+  if (!fs::exists(example)) GTEST_SKIP() << "comprehensive_analysis not found";
+  const int status = run_binary(example, "-N abc");
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2) << output();
   EXPECT_NE(output().find("-N=abc"), std::string::npos) << output();

@@ -9,8 +9,9 @@
 // expected substitutions/site). Small values (~0.02) produce low-divergence,
 // duplicate-heavy alignments — columns that agree within whole subtrees —
 // whose heavy constant patterns stress the crew's pattern split.
+//
+// A malformed or out-of-range number exits 2 before anything is written.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -29,20 +30,42 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  raxh::SimConfig cfg;
-  cfg.taxa = static_cast<std::size_t>(
-      std::strtoul(cli.value_or("taxa", "12").c_str(), nullptr, 10));
-  cfg.distinct_sites = static_cast<std::size_t>(
-      std::strtoul(cli.value_or("distinct", "400").c_str(), nullptr, 10));
-  cfg.total_sites = static_cast<std::size_t>(
-      std::strtoul(cli.value_or("sites", "600").c_str(), nullptr, 10));
-  cfg.seed = std::strtoull(cli.value_or("seed", "42").c_str(), nullptr, 10);
-  cfg.mean_branch_length =
-      std::strtod(cli.value_or("mean-branch", "0.12").c_str(), nullptr);
-  if (!(cfg.mean_branch_length > 0.0)) {
-    std::fprintf(stderr, "error: -mean-branch must be > 0\n");
+  long long taxa = 0, distinct = 0, sites = 0, seed = 0;
+  double mean_branch = 0.0;
+  try {
+    taxa = cli.int_or("taxa", 12);
+    distinct = cli.int_or("distinct", 400);
+    sites = cli.int_or("sites", 600);
+    seed = cli.int_or("seed", 42);
+    mean_branch = cli.double_or("mean-branch", 0.12);
+  } catch (const raxh::CliError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
+  // The simulator's own preconditions, checked here so that a bad value is
+  // a usage error rather than an abort.
+  const char* bad = nullptr;
+  if (taxa < 3)
+    bad = "-taxa must be >= 3";
+  else if (distinct < 1)
+    bad = "-distinct must be >= 1";
+  else if (sites < distinct)
+    bad = "-sites must be >= -distinct";
+  else if (seed < 0)
+    bad = "-seed must be >= 0";
+  else if (!(mean_branch > 0.0))
+    bad = "-mean-branch must be > 0";
+  if (bad != nullptr) {
+    std::fprintf(stderr, "error: %s\n", bad);
+    return 2;
+  }
+
+  raxh::SimConfig cfg;
+  cfg.taxa = static_cast<std::size_t>(taxa);
+  cfg.distinct_sites = static_cast<std::size_t>(distinct);
+  cfg.total_sites = static_cast<std::size_t>(sites);
+  cfg.seed = static_cast<std::uint64_t>(seed);
+  cfg.mean_branch_length = mean_branch;
 
   const auto sim = raxh::simulate_alignment(cfg);
   raxh::write_phylip_file(out, sim.alignment);
