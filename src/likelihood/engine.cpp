@@ -1,6 +1,7 @@
 #include "likelihood/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "obs/obs.h"
@@ -39,8 +40,6 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& patterns,
   lookup_a_.resize(ncat * 64);
   lookup_b_.resize(ncat * 64);
   sumtable_.resize(clv_stride_);
-  sum_scale_.resize(npat);
-  per_pattern_scratch_.resize(npat);
 }
 
 int LikelihoodEngine::clv_cats() const {
@@ -138,32 +137,38 @@ void LikelihoodEngine::dispatch(Fn&& fn) {
   const std::size_t npat = patterns_->num_patterns();
   if (crew_ == nullptr || crew_->num_threads() == 1) {
     obs::count(obs::Counter::kPatternsEvaluated, npat);
-    fn(std::size_t{0}, npat, 0);
+    fn(std::size_t{0}, npat);
     return;
   }
   crew_->run([&](int tid, int nthreads) {
     const Stripe s = stripe(npat, tid, nthreads);
     obs::count(obs::Counter::kPatternsEvaluated, s.end - s.begin);
-    fn(s.begin, s.end, tid);
+    fn(s.begin, s.end);
   });
 }
 
 template <typename Fn>
-double LikelihoodEngine::dispatch_sum(Fn&& fn) {
+auto LikelihoodEngine::dispatch_sum(Fn&& fn) {
+  using Sums = decltype(fn(std::size_t{0}, std::size_t{0}));
+  constexpr std::size_t kSums = std::tuple_size_v<Sums>;
   const std::size_t npat = patterns_->num_patterns();
+  obs::count(obs::Counter::kReductionCalls);
   if (crew_ == nullptr || crew_->num_threads() == 1) {
     obs::count(obs::Counter::kPatternsEvaluated, npat);
-    obs::count(obs::Counter::kReductionCalls);
-    return fn(std::size_t{0}, npat, 0);
+    return fn(std::size_t{0}, npat);
   }
   refresh_partition();
+  if (crew_->reduction_slots() < kSums) crew_->resize_reduction(kSums);
   crew_->run([&](int tid, int) {
     const std::size_t begin = part_bounds_[static_cast<std::size_t>(tid)];
     const std::size_t end = part_bounds_[static_cast<std::size_t>(tid) + 1];
     obs::count(obs::Counter::kPatternsEvaluated, end - begin);
-    crew_->reduction(tid) = fn(begin, end, tid);
+    const Sums part = fn(begin, end);
+    for (std::size_t i = 0; i < kSums; ++i) crew_->reduction(tid, i) = part[i];
   });
-  return crew_->sum_reduction();
+  Sums sums;
+  for (std::size_t i = 0; i < kSums; ++i) sums[i] = crew_->sum_reduction(i);
+  return sums;
 }
 
 std::uint64_t LikelihoodEngine::edge_scale_total(const Tree& tree, int rec) {
@@ -227,7 +232,7 @@ void LikelihoodEngine::compute_clv(const Tree& tree, int rec) {
   if (tip1 && tip2) {
     const auto row1 = patterns_->row(static_cast<std::size_t>(c1));
     const auto row2 = patterns_->row(static_cast<std::size_t>(c2));
-    dispatch([&](std::size_t b, std::size_t e, int) {
+    dispatch([&](std::size_t b, std::size_t e) {
       kern::newview_tip_tip(lay, b, e, row1.data(), row2.data(),
                             lookup_a_.data(), lookup_b_.data(), out,
                             out_scale);
@@ -239,7 +244,7 @@ void LikelihoodEngine::compute_clv(const Tree& tree, int rec) {
     const double* tip_lookup = tip1 ? lookup_a_.data() : lookup_b_.data();
     const double* inner_pmat = tip1 ? pmat_b_.data() : pmat_a_.data();
     const int inner_slot = tree.clv_slot(inner_rec);
-    dispatch([&](std::size_t b, std::size_t e, int) {
+    dispatch([&](std::size_t b, std::size_t e) {
       kern::newview_tip_inner(lay, b, e, tip_row.data(), tip_lookup,
                               clv(inner_slot), scale(inner_slot), inner_pmat,
                               out, out_scale);
@@ -247,7 +252,7 @@ void LikelihoodEngine::compute_clv(const Tree& tree, int rec) {
   } else {
     const int slot1 = tree.clv_slot(c1);
     const int slot2 = tree.clv_slot(c2);
-    dispatch([&](std::size_t b, std::size_t e, int) {
+    dispatch([&](std::size_t b, std::size_t e) {
       kern::newview_inner_inner(lay, b, e, clv(slot1), scale(slot1),
                                 pmat_a_.data(), clv(slot2), scale(slot2),
                                 pmat_b_.data(), out, out_scale);
@@ -293,21 +298,19 @@ double LikelihoodEngine::evaluate_edge(const Tree& tree, int rec,
   if (tree.is_tip_record(x)) {
     const auto tip_row = patterns_->row(static_cast<std::size_t>(x));
     kern::build_tip_lookup(pmat_a_.data(), ncat, lookup_a_.data());
-    return dispatch_sum([&](std::size_t b, std::size_t e, int) {
-      return kern::evaluate_tip_inner(lay, b, e, freqs, tip_row.data(),
-                                      lookup_a_.data(), clv(slot_y),
-                                      scale(slot_y), weights_.data(),
-                                      per_pattern);
-    });
+    return dispatch_sum([&](std::size_t b, std::size_t e) {
+      return std::array{kern::evaluate_tip_inner(
+          lay, b, e, freqs, tip_row.data(), lookup_a_.data(), clv(slot_y),
+          scale(slot_y), weights_.data(), per_pattern)};
+    })[0];
   }
 
   const int slot_x = tree.clv_slot(x);
-  return dispatch_sum([&](std::size_t b, std::size_t e, int) {
-    return kern::evaluate_inner_inner(lay, b, e, freqs, clv(slot_x),
-                                      scale(slot_x), pmat_a_.data(),
-                                      clv(slot_y), scale(slot_y),
-                                      weights_.data(), per_pattern);
-  });
+  return dispatch_sum([&](std::size_t b, std::size_t e) {
+    return std::array{kern::evaluate_inner_inner(
+        lay, b, e, freqs, clv(slot_x), scale(slot_x), pmat_a_.data(),
+        clv(slot_y), scale(slot_y), weights_.data(), per_pattern)};
+  })[0];
 }
 
 double LikelihoodEngine::evaluate(const Tree& tree, int rec) {
@@ -320,7 +323,7 @@ void LikelihoodEngine::per_pattern_lnl(const Tree& tree,
   evaluate_edge(tree, 0, out.data());
 }
 
-void LikelihoodEngine::build_sumtable(const Tree& tree, int rec) {
+void LikelihoodEngine::prepare_branch(const Tree& tree, int rec) {
   int x = rec;
   int y = tree.back(rec);
   if (tree.is_tip_record(y)) std::swap(x, y);
@@ -333,29 +336,20 @@ void LikelihoodEngine::build_sumtable(const Tree& tree, int rec) {
 
   if (tree.is_tip_record(x)) {
     const auto tip_row = patterns_->row(static_cast<std::size_t>(x));
-    dispatch([&](std::size_t b, std::size_t e, int) {
+    dispatch([&](std::size_t b, std::size_t e) {
       kern::edge_sumtable_tip_inner(lay, b, e, freqs, vmat, vinv,
                                     tip_row.data(), clv(slot_y),
                                     sumtable_.data());
-      const int* sy = scale(slot_y);
-      for (std::size_t p = b; p < e; ++p) sum_scale_[p] = sy[p];
     });
   } else {
     ensure_clv(tree, x);
     const int slot_x = tree.clv_slot(x);
-    dispatch([&](std::size_t b, std::size_t e, int) {
+    dispatch([&](std::size_t b, std::size_t e) {
       kern::edge_sumtable_inner_inner(lay, b, e, freqs, vmat, vinv,
                                       clv(slot_x), clv(slot_y),
                                       sumtable_.data());
-      const int* sx = scale(slot_x);
-      const int* sy = scale(slot_y);
-      for (std::size_t p = b; p < e; ++p) sum_scale_[p] = sx[p] + sy[p];
     });
   }
-}
-
-void LikelihoodEngine::prepare_branch(const Tree& tree, int rec) {
-  build_sumtable(tree, rec);
 }
 
 kern::Derivatives LikelihoodEngine::branch_derivatives(double t) {
@@ -363,31 +357,13 @@ kern::Derivatives LikelihoodEngine::branch_derivatives(double t) {
   const auto lay = layout();
   const double* eigenvalues = model_.eigenvalues().data();
   const double* cat_rates = rates_.rates().data();
-  if (crew_ == nullptr || crew_->num_threads() == 1) {
-    obs::count(obs::Counter::kPatternsEvaluated, patterns_->num_patterns());
-    return kern::nr_derivatives(lay, 0, patterns_->num_patterns(),
-                                sumtable_.data(), eigenvalues, cat_rates, t,
-                                weights_.data(), sum_scale_.data());
-  }
-  refresh_partition();
-  crew_->resize_reduction(3);
-  crew_->run([&](int tid, int) {
-    const std::size_t b = part_bounds_[static_cast<std::size_t>(tid)];
-    const std::size_t e = part_bounds_[static_cast<std::size_t>(tid) + 1];
-    obs::count(obs::Counter::kPatternsEvaluated, e - b);
-    const auto part = kern::nr_derivatives(lay, b, e, sumtable_.data(),
-                                           eigenvalues, cat_rates, t,
-                                           weights_.data(), sum_scale_.data());
-    crew_->reduction(tid, 0) = part.lnl;
-    crew_->reduction(tid, 1) = part.d1;
-    crew_->reduction(tid, 2) = part.d2;
+  const auto [d1, d2] = dispatch_sum([&](std::size_t b, std::size_t e) {
+    const auto d = kern::nr_derivatives(lay, b, e, sumtable_.data(),
+                                        eigenvalues, cat_rates, t,
+                                        weights_.data());
+    return std::array{d.d1, d.d2};
   });
-  kern::Derivatives d;
-  d.lnl = crew_->sum_reduction(0);
-  d.d1 = crew_->sum_reduction(1);
-  d.d2 = crew_->sum_reduction(2);
-  crew_->resize_reduction(1);
-  return d;
+  return {d1, d2};
 }
 
 double newton_branch_length(

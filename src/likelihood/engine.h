@@ -82,10 +82,11 @@ class LikelihoodEngine {
 
   // --- low-level branch-optimization API ---
   // Used by PartitionedEngine to sum Newton-Raphson derivatives across
-  // partitions: prepare_branch builds the edge sumtable, branch_derivatives
-  // evaluates (lnl, d1, d2) at a candidate branch length. The prepared state
-  // stays valid until the next engine operation that touches the scratch
-  // buffers (any evaluate/newview), so call them back-to-back.
+  // partitions: prepare_branch ensures the edge's CLVs and builds its
+  // sumtable, branch_derivatives evaluates (d1, d2) at a candidate branch
+  // length. The prepared state stays valid until the next engine operation
+  // that touches the scratch buffers (any evaluate/newview) or the model,
+  // so call them back-to-back.
   void prepare_branch(const Tree& tree, int rec);
   kern::Derivatives branch_derivatives(double t);
 
@@ -97,8 +98,8 @@ class LikelihoodEngine {
 
   // Sum over patterns of the combined scale counts at edge `rec`'s CLV
   // endpoints (tips contribute zero; ensures the CLVs first). Tests use this
-  // to prove a deep tree actually rescales before relying on scale-corrected
-  // NR-vs-evaluate comparisons.
+  // to prove a deep tree actually rescales before comparing NR derivatives
+  // against evaluate() there.
   [[nodiscard]] std::uint64_t edge_scale_total(const Tree& tree, int rec);
 
  private:
@@ -125,14 +126,15 @@ class LikelihoodEngine {
   void fill_pmats(double t, std::vector<double>& pmats) const;
 
   // Striped dispatch for the jobs without a reduction (newview, sumtable):
-  // runs fn(begin, end, tid) on equal blocks of patterns. Their results are
-  // per pattern, so the split never moves a bit.
+  // runs fn(begin, end) on equal blocks of patterns. Their results are per
+  // pattern, so the split never moves a bit.
   template <typename Fn>
   void dispatch(Fn&& fn);
-  // Dispatch with double-sum reduction of fn's return value over the
-  // weighted partition (see refresh_partition()), summed in fixed tid order.
+  // Dispatch with a reduction over the weighted partition (see
+  // refresh_partition()): fn(begin, end) returns a std::array of N partial
+  // sums, and each is added up over the threads in fixed tid order.
   template <typename Fn>
-  double dispatch_sum(Fn&& fn);
+  auto dispatch_sum(Fn&& fn);
 
   // Rebuild the weighted prefix-sum partition (pattern weight x stored CLV
   // categories) that fixes how the reductions group their floating-point
@@ -143,7 +145,6 @@ class LikelihoodEngine {
   void refresh_partition();
 
   double evaluate_edge(const Tree& tree, int rec, double* per_pattern);
-  void build_sumtable(const Tree& tree, int rec);
 
   const PatternAlignment* patterns_;
   GtrModel model_;
@@ -171,12 +172,10 @@ class LikelihoodEngine {
   std::vector<double> pmat_a_, pmat_b_;
   std::vector<double> lookup_a_, lookup_b_;
   AlignedVector<double> sumtable_;
-  std::vector<int> sum_scale_;  // combined scale counts of the sumtable edge
-  std::vector<double> per_pattern_scratch_;
 };
 
 // Safeguarded Newton-Raphson on a branch length: `derivatives(t)` supplies
-// (lnl, d1, d2); returns the converged length in [kMin, kMax]BranchLength.
+// (d1, d2); returns the converged length in [kMin, kMax]BranchLength.
 double newton_branch_length(
     const std::function<kern::Derivatives(double)>& derivatives, double t0);
 

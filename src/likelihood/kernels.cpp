@@ -224,7 +224,7 @@ Derivatives scalar_nr_derivatives(const RateLayout& l, std::size_t begin,
                                   std::size_t end, const double* sumtable,
                                   const double* eigenvalues,
                                   const double* cat_rates, double t,
-                                  const int* weights, const int* scale_sum) {
+                                  const int* weights) {
   Derivatives out;
   for (std::size_t p = begin; p < end; ++p) {
     double a = 0.0, a1 = 0.0, a2 = 0.0;
@@ -242,11 +242,6 @@ Derivatives scalar_nr_derivatives(const RateLayout& l, std::size_t begin,
     }
     if (a < kMinLikelihood) a = kMinLikelihood;
     const double w = weights[p];
-    // The scale factor cancels out of a1/a and a2/a, so only lnl needs the
-    // correction (see the Derivatives doc comment).
-    const double scaled =
-        scale_sum != nullptr ? scale_sum[p] * kLogScaleFactor : 0.0;
-    out.lnl += w * (std::log(a) - scaled);
     const double inv = 1.0 / a;
     out.d1 += w * a1 * inv;
     out.d2 += w * (a2 * inv - (a1 * inv) * (a1 * inv));
@@ -515,11 +510,10 @@ void edge_sumtable_inner_inner(const RateLayout& layout, std::size_t begin,
 Derivatives nr_derivatives(const RateLayout& layout, std::size_t begin,
                            std::size_t end, const double* sumtable,
                            const double* eigenvalues, const double* cat_rates,
-                           double t, const int* weights,
-                           const int* scale_sum) {
+                           double t, const int* weights) {
   return active_ops(layout).nr_derivatives(layout, begin, end, sumtable,
-                                           eigenvalues, cat_rates, t, weights,
-                                           scale_sum);
+                                           eigenvalues, cat_rates, t,
+                                           weights);
 }
 
 }  // namespace raxh::kern

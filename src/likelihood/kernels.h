@@ -196,22 +196,17 @@ void edge_sumtable_inner_inner(const RateLayout& layout, std::size_t begin,
                                double* sumtable);
 
 // First and second derivative of the range's weighted lnL with respect to
-// the branch length t, plus the lnL value itself. `scale_sum` carries the
-// combined per-pattern scale counts of the two CLVs the sumtable was built
-// from (nullptr = all zero); with it the lnl field is the true
-// scale-corrected log-likelihood, directly comparable against evaluate_*.
-// (Historically the field silently ignored scaling — a footgun for
-// Brent-vs-NR optimizer cross-checks on deep trees.)
+// the branch length t: the two numbers a Newton step needs (RAxML's
+// makenewz). The CLV scale factors cancel out of both ratios, so the
+// sumtable's scale counts are not needed.
 struct Derivatives {
-  double lnl = 0.0;
   double d1 = 0.0;
   double d2 = 0.0;
 };
 Derivatives nr_derivatives(const RateLayout& layout, std::size_t begin,
                            std::size_t end, const double* sumtable,
                            const double* eigenvalues, const double* cat_rates,
-                           double t, const int* weights,
-                           const int* scale_sum = nullptr);
+                           double t, const int* weights);
 
 // ---------------------------------------------------------------------------
 // Implementation plumbing (kernels.cpp + per-ISA translation units)
@@ -248,7 +243,7 @@ struct KernelOps {
                                     const double*, double*);
   Derivatives (*nr_derivatives)(const RateLayout&, std::size_t, std::size_t,
                                 const double*, const double*, const double*,
-                                double, const int*, const int*);
+                                double, const int*);
 };
 
 // Implemented in the per-ISA TUs; returns nullptr when not compiled in.

@@ -74,7 +74,6 @@ double PartitionedEngine::optimize_branch(Tree& tree, int rec) {
         kern::Derivatives sum;
         for (auto& engine : engines_) {
           const auto d = engine->branch_derivatives(candidate);
-          sum.lnl += d.lnl;
           sum.d1 += d.d1;
           sum.d2 += d.d2;
         }

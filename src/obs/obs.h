@@ -63,7 +63,7 @@ enum class Counter : int {
   kEvaluateCalls,        // edge log-likelihood evaluations
   kDerivativeCalls,      // Newton-Raphson derivative evaluations
   kPatternsEvaluated,    // patterns processed across all striped dispatches
-  kReductionCalls,       // crew reduction sums
+  kReductionCalls,       // likelihood reductions (evaluate, NR derivatives)
   kWorkforceJobs,        // jobs dispatched to the thread crew
   kBarrierWaitNs,        // ns the master spent waiting on crew completion
   kSpansDropped,         // spans evicted from full ring buffers

@@ -357,7 +357,6 @@ double& Workforce::reduction(int tid, std::size_t slot) {
 }
 
 double Workforce::sum_reduction(std::size_t slot) const {
-  obs::count(obs::Counter::kReductionCalls);
   const std::size_t padded =
       (reduction_slots_ + kPadDoubles - 1) / kPadDoubles * kPadDoubles +
       kPadDoubles;

@@ -84,6 +84,7 @@ class Workforce {
   // reduction(i) is thread i's slot; sum_reduction() adds them up in fixed
   // tid order, so reductions are deterministic for a fixed thread count.
   void resize_reduction(std::size_t slots_per_thread);
+  [[nodiscard]] std::size_t reduction_slots() const { return reduction_slots_; }
   double& reduction(int tid, std::size_t slot = 0);
   [[nodiscard]] double sum_reduction(std::size_t slot = 0) const;
 

@@ -2,9 +2,9 @@
 // (the vmax == 0.0 early-out), patterns straddling kScaleThreshold exactly,
 // and accumulated scale counts along a deep caterpillar chain — run against
 // every member of the kernel family, asserting scalar-vs-SIMD parity
-// bitwise at exactly these edge patterns. Plus the S3
-// regression: nr_derivatives' lnl is scale-corrected, so it agrees with
-// evaluate on a tree deep enough to actually rescale.
+// bitwise at exactly these edge patterns. Plus the NR derivatives on a tree
+// deep enough to actually rescale: the scale factors cancel out of d1 and
+// d2, so they must match finite differences of evaluate() there.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -215,13 +215,12 @@ TEST(Rescale, DeepChainAccumulatesScaleCounts) {
   }
 }
 
-TEST(Rescale, NrDerivativesLnlIsScaleCorrectedOnDeepTree) {
-  // S3 regression: nr_derivatives' lnl historically ignored scale counts, so
-  // on any tree that rescales it disagreed with evaluate by a multiple of
-  // kLogScaleFactor (~332.7 per scale event) — poisonous for Brent-vs-NR
-  // optimizer cross-checks. Build a caterpillar deep enough to rescale
-  // (asserted, not assumed), then require NR and evaluate to agree to
-  // analytic-path precision.
+TEST(Rescale, NrDerivativesMatchEvaluateOnDeepTree) {
+  // The sumtable is built from CLVs that carry scale counts; d1 and d2 are
+  // ratios in which the scale factors cancel. Build a caterpillar deep
+  // enough to rescale (asserted, not assumed), then require the derivatives
+  // to match central differences of evaluate(), which applies the scale
+  // corrections itself.
   SimConfig cfg;
   cfg.taxa = 500;
   cfg.distinct_sites = 50;
@@ -246,16 +245,30 @@ TEST(Rescale, NrDerivativesLnlIsScaleCorrectedOnDeepTree) {
 
   const int rec = 0;  // the canonical tip-0 edge sits atop the whole chain
   ASSERT_GT(engine.edge_scale_total(tree, rec), std::uint64_t{0})
-      << "tree not deep enough to rescale; the regression test has no teeth";
+      << "tree not deep enough to rescale; the test has no teeth";
 
-  const double eval = engine.evaluate(tree, rec);
-  ASSERT_TRUE(std::isfinite(eval));
-  engine.prepare_branch(tree, rec);
-  const auto d = engine.branch_derivatives(tree.length(rec));
-  // The two paths differ analytically (P(t) products vs eigen-decomposed
-  // exponentials), so this is a tolerance, not bitwise — but the tolerance
-  // is orders of magnitude tighter than one scale correction (~332.7).
-  EXPECT_NEAR(d.lnl, eval, std::fabs(eval) * 1e-8);
+  for (const double t : {3.0, 0.3, 0.03}) {
+    engine.prepare_branch(tree, rec);
+    const auto d = engine.branch_derivatives(t);
+    // Central differences with step h = 3t/1000. The 500-taxon lnL is so
+    // large that rounding in the second difference outgrows the (h/t)^2
+    // truncation error at smaller steps. Each derivative is bounded relative
+    // to its natural scale, |d1| + |d2|*t and |d2| + |d1|/t: 1e-4 for d1 and
+    // 1e-3 for d2 (the worst cases seen are 4.8e-6 and 9.1e-5).
+    const double h = 3e-3 * t;
+    tree.set_length(rec, t - h);
+    const double lo = engine.evaluate(tree, rec);
+    tree.set_length(rec, t + h);
+    const double hi = engine.evaluate(tree, rec);
+    tree.set_length(rec, t);
+    const double mid = engine.evaluate(tree, rec);
+    ASSERT_TRUE(std::isfinite(mid));
+    const double scale1 = std::fabs(d.d1) + std::fabs(d.d2) * t;
+    const double scale2 = std::fabs(d.d2) + std::fabs(d.d1) / t;
+    EXPECT_NEAR(d.d1, (hi - lo) / (2.0 * h), 1e-4 * scale1) << "t " << t;
+    EXPECT_NEAR(d.d2, (hi - 2.0 * mid + lo) / (h * h), 1e-3 * scale2)
+        << "t " << t;
+  }
 }
 
 }  // namespace
