@@ -48,7 +48,7 @@ Outcome run_policy(const PatternAlignment& patterns, int ranks,
       };
     }
     const auto report = run_comprehensive_rank(
-        patterns, options, comm.rank(), comm.size(), nullptr,
+        {}, patterns, options, comm.rank(), comm.size(), nullptr,
         [&comm] { comm.barrier(); }, selector);
     const auto winner = comm.allreduce_maxloc(report.best_lnl);
     const double thorough_sum = comm.allreduce_sum(report.times.thorough);

@@ -52,7 +52,7 @@ int main() {
     StageTimes stage_times;
     double lnl = 0.0;
     mpi::run_thread_ranks(p, [&](mpi::Comm& comm) {
-      const auto result = run_hybrid_comprehensive(comm, patterns, options);
+      const auto result = run_hybrid_comprehensive({}, comm, patterns, options);
       if (comm.rank() == 0) {
         std::lock_guard<std::mutex> lock(mu);
         lnl = result.best_lnl;

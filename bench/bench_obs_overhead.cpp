@@ -82,8 +82,8 @@ struct Fixture {
       engine->invalidate_all();
       sink = engine->evaluate(*tree);
       if (live_updates) {
-        obs::live_unit_done();
-        obs::live_report_lnl(sink);
+        obs::default_live_model().unit_done();
+        obs::default_live_model().report_lnl(sink);
       }
     }
     return static_cast<double>(obs::now_ns() - start) * 1e-9 / kEvalsPerRound;
@@ -285,11 +285,11 @@ int main() {
 
     obs::set_enabled(true);
     obs::reset();
-    obs::live_begin_run(0, {{"bench", kRounds * kEvalsPerRound, 1.0}});
+    obs::default_live_model().begin_run(
+        0, {{"bench", kRounds * kEvalsPerRound, 1.0}});
     {
       obs::HeartbeatWriter writer(
-          obs::HeartbeatOptions{"bench_out/obs_heartbeat", 0, 50, {},
-                                nullptr});
+          obs::HeartbeatOptions{"bench_out/obs_heartbeat", 0, 50});
       heartbeat_s.push_back(f.time_round(true));
     }
 

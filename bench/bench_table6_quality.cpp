@@ -36,7 +36,7 @@ double run_with_ranks(const raxh::PatternAlignment& patterns, int ranks,
   double best = 0.0;
   raxh::mpi::run_thread_ranks(ranks, [&](raxh::mpi::Comm& comm) {
     const auto result =
-        raxh::run_hybrid_comprehensive(comm, patterns, options);
+        raxh::run_hybrid_comprehensive({}, comm, patterns, options);
     if (comm.rank() == 0) {
       std::lock_guard<std::mutex> lock(mu);
       best = result.best_lnl;

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   // winner; rank 0 (this process) reports.
   mpi::run_process_ranks(processes, [&](mpi::Comm& comm) {
     const HybridResult result =
-        run_hybrid_comprehensive(comm, patterns, options);
+        run_hybrid_comprehensive({}, comm, patterns, options);
     if (comm.rank() != 0) return;
 
     std::printf("\nwinner: rank %d with final GAMMA lnL %.4f\n",

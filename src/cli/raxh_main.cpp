@@ -66,8 +66,8 @@
 // Telemetry output paths are validated (and directories created) at startup
 // so a long run cannot silently lose its telemetry at the end.
 //
-// Removed flags (--repeats, -simd, --collectives, --transport) and malformed
-// numeric values (-N abc) exit 2 with an error naming the flag.
+// Removed flags (--repeats, -simd, --collectives, --transport, --connect) and
+// malformed numeric values (-N abc) exit 2 with an error naming the flag.
 //
 // Exit status 0 on success; messages go to stdout, errors to stderr.
 #include <algorithm>
@@ -81,7 +81,6 @@
 
 #include "bio/io.h"
 #include "bio/patterns.h"
-#include "serve/client.h"
 #include "likelihood/kernels.h"
 #include "core/analyses.h"
 #include "core/evaluate_mode.h"
@@ -115,7 +114,6 @@ void usage(const char* prog) {
       "          [--log-level=error|warn|info|debug] [--blackbox=off]\n"
       "          [--blackbox-dir=DIR] [--blackbox-dump]\n"
       "          [--kernels=auto|scalar|generic|neon|avx512]\n"
-      "          [--connect=SOCKET|host:port]  (run -f a on a raxhd daemon)\n"
       "modes: a=comprehensive (default), d=multi-start ML, b=bootstrap only,\n"
       "       x=adaptive bootstrap (FC bootstopping), e=evaluate topology\n",
       prog);
@@ -138,6 +136,9 @@ constexpr RemovedFlag kRemovedFlags[] = {
     {"-transport",
      "--transport was removed; forked ranks always talk over the socketpair "
      "mesh"},
+    {"-connect",
+     "--connect was removed; use raxhd_client submit --wait, then "
+     "raxhd_client result"},
 };
 
 // --- kernel family member (--kernels=NAME, default $RAXH_KERNELS) ---
@@ -291,61 +292,6 @@ void finalize_obs(mpi::Comm& comm, const ObsOptions& options) {
   }
 }
 
-// --connect <socket-or-host:port>: hand the comprehensive analysis to a
-// running raxhd daemon instead of executing in-process. The daemon runs the
-// same run_hybrid_comprehensive with the same seed chain, so the trees it
-// returns are bit-identical to what the one-shot path below would write.
-int run_connected(const std::string& target, const std::string& alignment_path,
-                  const CliParser& cli) {
-  std::ifstream in(alignment_path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", alignment_path.c_str());
-    return 2;
-  }
-  serve::JobRequest request;
-  request.alignment.assign(std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>());
-  request.name = cli.value_or("n", "raxh");
-  request.model = cli.value_or("m", "GTRCAT");
-  request.bootstraps = static_cast<int>(cli.int_or("N", 100));
-  request.parsimony_seed = cli.int_or("p", 12345);
-  request.bootstrap_seed = cli.int_or("x", 12345);
-  request.nranks = static_cast<int>(cli.int_or("np", 1));
-  request.num_threads = static_cast<int>(cli.int_or("T", 1));
-  request.checkpoint = cli.has("-checkpoint-dir");
-
-  serve::Client client = serve::Client::connect(target);
-  const std::string id = client.submit(request);
-  std::printf("submitted job %s to %s\n", id.c_str(), target.c_str());
-  std::string last_phase;
-  const serve::JobStatus final_status =
-      client.stream(id, [&](const serve::JobStatus& s) {
-        if (s.phase != last_phase && !s.phase.empty()) {
-          std::printf("job %s: %s (%.0f%%)\n", id.c_str(), s.phase.c_str(),
-                      s.fraction * 100.0);
-          last_phase = s.phase;
-        }
-      });
-  if (final_status.state != serve::JobState::kDone) {
-    std::fprintf(stderr, "error: job %s %s%s%s\n", id.c_str(),
-                 serve::job_state_name(final_status.state),
-                 final_status.error.empty() ? "" : ": ",
-                 final_status.error.c_str());
-    return 1;
-  }
-  const serve::JobResult result = client.result(id);
-  const std::string name = request.name;
-  std::printf("winner: rank %d, final GAMMA lnL %.6f%s\n", result.winner_rank,
-              result.best_lnl, final_status.cache_hit ? " (cached alignment)"
-                                                      : "");
-  std::ofstream(name + "_bestTree.tre") << result.best_tree_newick << '\n';
-  std::ofstream(name + "_bipartitions.tre")
-      << result.support_tree_newick << '\n';
-  std::printf("wrote %s_bestTree.tre, %s_bipartitions.tre (%d replicates)\n",
-              name.c_str(), name.c_str(), result.total_bootstrap_trees);
-  return 0;
-}
-
 int run_comprehensive(const PatternAlignment& patterns, const CliParser& cli) {
   HybridOptions options;
   options.analysis.specified_bootstraps =
@@ -417,7 +363,7 @@ int run_comprehensive(const PatternAlignment& patterns, const CliParser& cli) {
         aggregator = std::make_unique<obs::HeartbeatAggregator>(agg);
       }
     }
-    const auto result = run_hybrid_comprehensive(comm, patterns, options);
+    const auto result = run_hybrid_comprehensive({}, comm, patterns, options);
     // Flush the final "done" beat before the aggregator's closing scan.
     if (heartbeat) heartbeat->stop();
     if (aggregator) aggregator->stop();
@@ -657,26 +603,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       Logger::instance().set_level(*parsed);
-    }
-  }
-
-  // Daemon mode: ship the job to a raxhd instance instead of running here.
-  // Only -f a is served; the local obs/flight machinery stays untouched.
-  {
-    const std::string target = cli.value_or("-connect", "");
-    if (!target.empty()) {
-      const std::string mode = cli.value_or("f", "a");
-      if (mode != "a") {
-        std::fprintf(stderr,
-                     "error: --connect only supports -f a (comprehensive)\n");
-        return 2;
-      }
-      try {
-        return run_connected(target, *alignment_path, cli);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
-      }
     }
   }
 

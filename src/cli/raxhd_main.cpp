@@ -62,8 +62,7 @@ void usage(const char* prog) {
       "          [--metrics-http-port=N] [--trace-out=FILE]\n"
       "          [--metrics-out=FILE]\n"
       "          [--log-level=error|warn|info|debug]\n"
-      "Long-lived analysis daemon; submit jobs with raxhd_client or\n"
-      "`raxh --connect`.\n",
+      "Long-lived analysis daemon; submit jobs with raxhd_client.\n",
       prog);
 }
 

@@ -14,7 +14,7 @@
 
 namespace raxh {
 
-MultistartResult run_multistart_ml(const JobContext& ctx, mpi::Comm& comm,
+MultistartResult run_multistart_ml(mpi::Comm& comm,
                                    const PatternAlignment& patterns,
                                    const MultistartOptions& options) {
   RAXH_EXPECTS(options.searches >= 1);
@@ -31,20 +31,17 @@ MultistartResult run_multistart_ml(const JobContext& ctx, mpi::Comm& comm,
                           RateModel::cat(patterns.num_patterns()), crew_ptr);
 
   const RankSeeds seeds =
-      ctx.seeds_for(options.parsimony_seed, options.parsimony_seed, rank);
+      seeds_for_rank(options.parsimony_seed, options.parsimony_seed, rank);
   Lcg start_rng(seeds.parsimony_seed);
 
-  SearchSettings settings = options.search;
-  settings.cancel = ctx.cancel;
   std::string local_best_newick;
   double local_best = -std::numeric_limits<double>::infinity();
   std::vector<double> local_lnls;
   for (int s = 0; s < per_rank; ++s) {
-    ctx.throw_if_cancelled();
     Tree tree =
         randomized_stepwise_addition(patterns, patterns.weights(), start_rng);
     engine.optimize_cat_rates(tree);
-    SprSearch search(engine, settings);
+    SprSearch search(engine, options.search);
     search.run(tree);
 
     // Final scoring under GAMMA with full model re-optimization, so lnLs
@@ -73,8 +70,7 @@ MultistartResult run_multistart_ml(const JobContext& ctx, mpi::Comm& comm,
   return result;
 }
 
-BootstrapRunResult run_bootstrap_analysis(const JobContext& ctx,
-                                          mpi::Comm& comm,
+BootstrapRunResult run_bootstrap_analysis(mpi::Comm& comm,
                                           const PatternAlignment& patterns,
                                           const BootstrapRunOptions& options) {
   RAXH_EXPECTS(options.replicates >= 1);
@@ -91,9 +87,9 @@ BootstrapRunResult run_bootstrap_analysis(const JobContext& ctx,
                           RateModel::cat(patterns.num_patterns()), crew_ptr);
 
   const RankSeeds seeds =
-      ctx.seeds_for(options.parsimony_seed, options.bootstrap_seed, rank);
+      seeds_for_rank(options.parsimony_seed, options.bootstrap_seed, rank);
   RapidBootstrap bootstrapper(engine, patterns, seeds.bootstrap_seed,
-                              seeds.parsimony_seed, ctx.cancel);
+                              seeds.parsimony_seed);
   const auto replicates = bootstrapper.run(per_rank);
 
   std::string blob;
@@ -128,7 +124,7 @@ BootstrapRunResult run_bootstrap_analysis(const JobContext& ctx,
 }
 
 AdaptiveBootstrapResult run_adaptive_bootstrap(
-    const JobContext& ctx, mpi::Comm& comm, const PatternAlignment& patterns,
+    mpi::Comm& comm, const PatternAlignment& patterns,
     const AdaptiveBootstrapOptions& options) {
   RAXH_EXPECTS(options.round_size >= 1);
   RAXH_EXPECTS(options.min_replicates >= 2);
@@ -146,9 +142,9 @@ AdaptiveBootstrapResult run_adaptive_bootstrap(
                           RateModel::cat(patterns.num_patterns()), crew_ptr);
 
   const RankSeeds seeds =
-      ctx.seeds_for(options.parsimony_seed, options.bootstrap_seed, rank);
+      seeds_for_rank(options.parsimony_seed, options.bootstrap_seed, rank);
   RapidBootstrap bootstrapper(engine, patterns, seeds.bootstrap_seed,
-                              seeds.parsimony_seed, ctx.cancel);
+                              seeds.parsimony_seed);
   BootstrapSnapshot snapshot;
 
   AdaptiveBootstrapResult result;
@@ -226,26 +222,6 @@ AdaptiveBootstrapResult run_adaptive_bootstrap(
       return result;
     }
   }
-}
-
-MultistartResult run_multistart_ml(mpi::Comm& comm,
-                                   const PatternAlignment& patterns,
-                                   const MultistartOptions& options) {
-  return run_multistart_ml(default_job_context(), comm, patterns, options);
-}
-
-BootstrapRunResult run_bootstrap_analysis(mpi::Comm& comm,
-                                          const PatternAlignment& patterns,
-                                          const BootstrapRunOptions& options) {
-  return run_bootstrap_analysis(default_job_context(), comm, patterns,
-                                options);
-}
-
-AdaptiveBootstrapResult run_adaptive_bootstrap(
-    mpi::Comm& comm, const PatternAlignment& patterns,
-    const AdaptiveBootstrapOptions& options) {
-  return run_adaptive_bootstrap(default_job_context(), comm, patterns,
-                                options);
 }
 
 }  // namespace raxh

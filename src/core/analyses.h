@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bio/patterns.h"
-#include "core/job_context.h"
 #include "minimpi/comm.h"
 #include "search/spr.h"
 #include "tree/bootstopping.h"
@@ -43,13 +42,6 @@ struct MultistartResult {
 
 // Searches are split ceil(k/p) per rank, like the bootstrap stage of the
 // comprehensive analysis. Collective: all ranks must call.
-//
-// Every analysis has a job-aware primary form (ctx supplies the seed chain
-// when use_seed_chain is set and the cancel token threaded into each
-// search) and a legacy form forwarding default_job_context().
-MultistartResult run_multistart_ml(const JobContext& ctx, mpi::Comm& comm,
-                                   const PatternAlignment& patterns,
-                                   const MultistartOptions& options);
 MultistartResult run_multistart_ml(mpi::Comm& comm,
                                    const PatternAlignment& patterns,
                                    const MultistartOptions& options);
@@ -72,10 +64,6 @@ struct BootstrapRunResult {
   int total_replicates = 0;
 };
 
-BootstrapRunResult run_bootstrap_analysis(const JobContext& ctx,
-                                          mpi::Comm& comm,
-                                          const PatternAlignment& patterns,
-                                          const BootstrapRunOptions& options);
 BootstrapRunResult run_bootstrap_analysis(mpi::Comm& comm,
                                           const PatternAlignment& patterns,
                                           const BootstrapRunOptions& options);
@@ -115,9 +103,6 @@ struct AdaptiveBootstrapResult {
   std::vector<std::string> replicate_newicks;
 };
 
-AdaptiveBootstrapResult run_adaptive_bootstrap(
-    const JobContext& ctx, mpi::Comm& comm, const PatternAlignment& patterns,
-    const AdaptiveBootstrapOptions& options);
 AdaptiveBootstrapResult run_adaptive_bootstrap(
     mpi::Comm& comm, const PatternAlignment& patterns,
     const AdaptiveBootstrapOptions& options);

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "obs/flight.h"
-#include "obs/live.h"
 #include "util/check.h"
 
 namespace raxh {
@@ -18,6 +17,20 @@ constexpr const char* kMagic = "raxh-bootstrap-checkpoint";
 // v2: the body is covered by an FNV-1a checksum in a trailing "end" line, so
 // truncated or bit-flipped files are rejected instead of partially parsed.
 constexpr int kVersion = 2;
+
+// Any character outside [A-Za-z0-9._-] becomes '_', so a job id composes
+// into a file name but never into a new path component.
+std::string sanitize_job_id(const std::string& job_id) {
+  std::string out;
+  out.reserve(job_id.size());
+  for (const char ch : job_id) {
+    const bool ok = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
+                    (ch >= '0' && ch <= '9') || ch == '-' || ch == '_' ||
+                    ch == '.';
+    out += ok ? ch : '_';
+  }
+  return out;
+}
 
 [[noreturn]] void corrupt(const std::string& path, const std::string& what) {
   throw std::runtime_error("checkpoint '" + path + "': " + what);
@@ -182,15 +195,11 @@ std::function<void(const BootstrapSnapshot&)> checkpoint_to(std::string path) {
   };
 }
 
-std::string rank_checkpoint_path(const std::string& dir, int rank) {
-  return dir + "/rank" + std::to_string(rank) + ".ckpt";
-}
-
 std::string rank_checkpoint_path(const std::string& dir,
                                  const std::string& job_id, int rank) {
-  if (job_id.empty()) return rank_checkpoint_path(dir, rank);
-  return dir + "/job" + obs::sanitize_job_id(job_id) + ".rank" +
-         std::to_string(rank) + ".ckpt";
+  const std::string file = "rank" + std::to_string(rank) + ".ckpt";
+  if (job_id.empty()) return dir + "/" + file;
+  return dir + "/job" + sanitize_job_id(job_id) + "." + file;
 }
 
 }  // namespace raxh

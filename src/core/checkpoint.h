@@ -26,16 +26,12 @@ std::optional<BootstrapSnapshot> load_bootstrap_checkpoint(
 // saves to `path` after every replicate.
 std::function<void(const BootstrapSnapshot&)> checkpoint_to(std::string path);
 
-// The per-logical-rank checkpoint file inside a checkpoint directory. Keyed
-// by *logical* rank so a survivor re-granted a dead rank's bootstraps finds
-// (and resumes) the dead rank's snapshot.
-std::string rank_checkpoint_path(const std::string& dir, int rank);
-
-// Job-namespaced variant: dir/job<id>.rank<r>.ckpt. Rank-only keying let two
-// concurrent jobs sharing one checkpoint directory silently clobber (and
-// cross-resume!) each other's snapshots; every job-aware caller must use
-// this form. An empty job id degrades to the legacy rank-only path; the id
-// is sanitized (obs::sanitize_job_id) so it can never introduce a path
+// The per-logical-rank checkpoint file inside a checkpoint directory:
+// dir/rank<r>.ckpt for an empty job id, dir/job<id>.rank<r>.ckpt otherwise.
+// Keyed by *logical* rank so a survivor re-granted a dead rank's bootstraps
+// finds (and resumes) the dead rank's snapshot; keyed by job id so two
+// concurrent jobs sharing one directory never clobber (or cross-resume) each
+// other's snapshots. The id is sanitized so it can never introduce a path
 // component.
 std::string rank_checkpoint_path(const std::string& dir,
                                  const std::string& job_id, int rank);

@@ -55,7 +55,7 @@ RankReport run_comprehensive_rank(
   report.counts = schedule.per_rank;
 
   const RankSeeds seeds =
-      ctx.seeds_for(options.parsimony_seed, options.bootstrap_seed, rank);
+      seeds_for_rank(options.parsimony_seed, options.bootstrap_seed, rank);
 
   // Model setup: empirical base frequencies, unit exchangeabilities; the
   // searches optimize from there. The search engine uses CAT (as the paper's
@@ -239,17 +239,6 @@ RankReport run_comprehensive_rank(
   log_debug("rank %d/%d done: lnL=%.4f (CAT %.4f)", rank, nranks,
             report.best_lnl, report.cat_lnl);
   return report;
-}
-
-RankReport run_comprehensive_rank(
-    const PatternAlignment& patterns, const ComprehensiveOptions& options,
-    int rank, int nranks, Workforce* crew,
-    const std::function<void()>& after_bootstraps,
-    const std::function<bool(double)>& select_thorough,
-    const std::function<void()>& on_unit) {
-  return run_comprehensive_rank(default_job_context(), patterns, options,
-                                rank, nranks, crew, after_bootstraps,
-                                select_thorough, on_unit);
 }
 
 }  // namespace raxh

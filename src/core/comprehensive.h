@@ -77,22 +77,13 @@ struct RankReport {
 // and each fast/slow/thorough search). The fault-tolerant driver wires it to
 // Comm::fault_tick so seeded fault plans can strike mid-stage; it must not
 // affect the computation.
-// The job-aware primary form: `ctx` supplies the job id (namespacing the
-// checkpoint files), the cancel token (polled per work unit and threaded
-// into every search), the live model progress reports land in, and —
-// when ctx.use_seed_chain — the seed chain. default_job_context()
-// reproduces the legacy behaviour bit-identically.
+//
+// `ctx` supplies the job id (namespacing the checkpoint files), the cancel
+// token (polled per work unit and threaded into every search) and the live
+// model progress reports land in; the one-shot CLI passes `{}`.
 RankReport run_comprehensive_rank(
     const JobContext& ctx, const PatternAlignment& patterns,
     const ComprehensiveOptions& options, int rank, int nranks, Workforce* crew,
-    const std::function<void()>& after_bootstraps = {},
-    const std::function<bool(double)>& select_thorough = {},
-    const std::function<void()>& on_unit = {});
-
-// Legacy single-job form: forwards to the above with default_job_context().
-RankReport run_comprehensive_rank(
-    const PatternAlignment& patterns, const ComprehensiveOptions& options,
-    int rank, int nranks, Workforce* crew,
     const std::function<void()>& after_bootstraps = {},
     const std::function<bool(double)>& select_thorough = {},
     const std::function<void()>& on_unit = {});

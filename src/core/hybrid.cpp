@@ -470,11 +470,4 @@ HybridResult run_hybrid_comprehensive(const JobContext& ctx, mpi::Comm& comm,
   return result;
 }
 
-HybridResult run_hybrid_comprehensive(mpi::Comm& comm,
-                                      const PatternAlignment& patterns,
-                                      const HybridOptions& options) {
-  return run_hybrid_comprehensive(default_job_context(), comm, patterns,
-                                  options);
-}
-
 }  // namespace raxh

@@ -52,17 +52,12 @@ struct HybridOptions {
 // Collective: every rank of `comm` must call. Each rank creates its own
 // `analysis.num_threads`-wide crew.
 //
-// The job-aware primary form. `ctx` must be the same object (or an
-// identically-configured one) on every rank; when ctx.owns_process_globals
-// is false the driver leaves the process-wide logger/obs rank attribution
-// alone, which is required when several jobs (or several thread-backend
-// ranks of one job) share a process.
+// `ctx` must be the same object (or an identically-configured one) on every
+// rank; the one-shot CLI passes `{}`. When ctx.owns_process_globals is false
+// the driver leaves the process-wide logger/obs rank attribution alone,
+// which is required when several jobs (or several thread-backend ranks of
+// one job) share a process.
 HybridResult run_hybrid_comprehensive(const JobContext& ctx, mpi::Comm& comm,
-                                      const PatternAlignment& patterns,
-                                      const HybridOptions& options);
-
-// Legacy single-job form: forwards with default_job_context().
-HybridResult run_hybrid_comprehensive(mpi::Comm& comm,
                                       const PatternAlignment& patterns,
                                       const HybridOptions& options);
 

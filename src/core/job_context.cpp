@@ -13,9 +13,4 @@ obs::LiveModel& JobContext::live_for_rank(int rank) const {
   return *live_models[static_cast<std::size_t>(rank)];
 }
 
-const JobContext& default_job_context() {
-  static const JobContext* ctx = new JobContext;  // leaked: teardown safe
-  return *ctx;
-}
-
 }  // namespace raxh

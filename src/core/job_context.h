@@ -1,26 +1,18 @@
-// Job lifecycle isolation. Historically one process tree hosted exactly one
-// analysis, so job-scoped state — the PRNG seed chain, artifact directories,
-// the live progress model, the work schedule — lived in process globals and
-// rank-keyed file names. The serving layer (src/serve/) runs N analyses
-// concurrently in one process tree; a JobContext carries everything that
-// must be per-job, and is passed explicitly through core/hybrid,
-// core/comprehensive, core/analyses, and (as a cancel token) into search/.
-//
-// A default-constructed JobContext reproduces the legacy single-job
-// behaviour exactly: empty job id (legacy artifact paths), the process-
-// default live model, no cancellation, and ownership of process-global
-// attribution (logger rank, obs rank). The one-shot CLI path uses exactly
-// that, so `raxh` output is bit-identical with or without the refactor.
+// The per-job state of one comprehensive analysis ("-f a") that the analysis
+// options do not carry: where its artifacts go, where its progress and
+// telemetry land, how it is cancelled, and whether it may touch process-wide
+// attribution. run_comprehensive_rank and run_hybrid_comprehensive take it
+// first; the serving layer (src/serve/) fills one per job so N analyses can
+// share a process tree, and the one-shot CLI passes a default-constructed
+// `{}`. Seeds are not here: they come from the options alone.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "util/cancel.h"
-#include "util/prng.h"
 
 namespace raxh::obs {
 class LiveModel;
@@ -30,27 +22,14 @@ class JobObs;
 namespace raxh {
 
 struct JobContext {
-  // Identifies this job in logs and namespaces every per-job artifact path
-  // (checkpoints, heartbeats). Empty = legacy single-job layout.
+  // Namespaces this job's checkpoint files (core/checkpoint.h). Empty = the
+  // plain per-rank file names.
   std::string job_id;
-
-  // Optional owner label (daemon --tenant on SUBMIT) and trace correlation
-  // id; both are attribution-only and never affect the computation.
-  std::string tenant;
-  std::string trace_id;
 
   // When set, every rank thread of the job (and the crews it spawns) binds
   // this block so counters/histograms/spans are charged to the job as well
   // as the process-global pool. Null = no per-job attribution (one-shot CLI).
   std::shared_ptr<obs::JobObs> obs_job;
-
-  // Base seeds of the job's reproducibility chain; per-logical-rank seeds
-  // derive from these via the paper's §2.4 stride (see seeds_for()). The
-  // analysis options carry the same seeds for backward compatibility; when
-  // `use_seed_chain` is set the context is authoritative.
-  std::int64_t parsimony_seed = 12345;
-  std::int64_t bootstrap_seed = 12345;
-  bool use_seed_chain = false;
 
   // Cooperative cancellation: polled between work units (and between SPR
   // rounds inside search/); null = never cancelled. The pointee must outlive
@@ -65,29 +44,14 @@ struct JobContext {
 
   // A served job must not retag process-wide attribution (logger rank, obs
   // rank): concurrent jobs would fight over it and the daemon's own rank
-  // stamp would corrupt. True only for the legacy one-job-per-process path.
+  // stamp would corrupt. True only when the process hosts this one job.
   bool owns_process_globals = true;
 
-  // Seeds for logical rank `rank`: the context chain when use_seed_chain,
-  // otherwise the caller-supplied option seeds (legacy behaviour).
-  [[nodiscard]] RankSeeds seeds_for(std::int64_t option_parsimony,
-                                    std::int64_t option_bootstrap,
-                                    int rank) const {
-    return use_seed_chain
-               ? seeds_for_rank(parsimony_seed, bootstrap_seed, rank)
-               : seeds_for_rank(option_parsimony, option_bootstrap, rank);
-  }
-
-  [[nodiscard]] bool cancelled() const { return cancel_requested(cancel); }
   void throw_if_cancelled() const { raxh::throw_if_cancelled(cancel); }
 
   // The live model comprehensive stages should report into for logical rank
   // `rank` (the process default when this context carries none).
   [[nodiscard]] obs::LiveModel& live_for_rank(int rank) const;
 };
-
-// The shared default context of the legacy entry points (single job, process
-// globals owned, no cancellation).
-[[nodiscard]] const JobContext& default_job_context();
 
 }  // namespace raxh

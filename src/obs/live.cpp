@@ -175,19 +175,6 @@ LiveModel& default_live_model() {
   return *m;
 }
 
-void live_begin_run(int rank, std::vector<StagePlan> plan) {
-  default_live_model().begin_run(rank, std::move(plan));
-}
-void live_begin_stage(const std::string& name) {
-  default_live_model().begin_stage(name);
-}
-void live_unit_done() { default_live_model().unit_done(); }
-void live_report_lnl(double lnl) { default_live_model().report_lnl(lnl); }
-void live_end_run() { default_live_model().end_run(); }
-ProgressSnapshot live_snapshot() { return default_live_model().snapshot(); }
-void live_reset() { default_live_model().reset(); }
-void live_reset_for_fork() { default_live_model().reset_for_fork(); }
-
 // ---------------------------------------------------------------------------
 // Heartbeat wire format
 // ---------------------------------------------------------------------------
@@ -312,25 +299,6 @@ std::string heartbeat_path(const std::string& dir, int rank) {
   return dir + "/rank" + std::to_string(rank) + ".ndjson";
 }
 
-std::string sanitize_job_id(const std::string& job_id) {
-  std::string out;
-  out.reserve(job_id.size());
-  for (const char ch : job_id) {
-    const bool ok = (ch >= 'a' && ch <= 'z') || (ch >= 'A' && ch <= 'Z') ||
-                    (ch >= '0' && ch <= '9') || ch == '-' || ch == '_' ||
-                    ch == '.';
-    out += ok ? ch : '_';
-  }
-  return out;
-}
-
-std::string heartbeat_path(const std::string& dir, const std::string& job_id,
-                           int rank) {
-  if (job_id.empty()) return heartbeat_path(dir, rank);
-  return dir + "/job" + sanitize_job_id(job_id) + ".rank" +
-         std::to_string(rank) + ".ndjson";
-}
-
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
@@ -344,8 +312,7 @@ struct HeartbeatWriter::Impl {
   bool stopping = false;
 
   void beat() {
-    LiveModel& model = options.model ? *options.model : default_live_model();
-    ProgressSnapshot snap = model.snapshot();
+    ProgressSnapshot snap = default_live_model().snapshot();
     // The model only learns the rank at begin_run; beats before that
     // (the immediate first one) must still carry this writer's rank.
     snap.rank = options.rank;
@@ -374,8 +341,8 @@ HeartbeatWriter::HeartbeatWriter(HeartbeatOptions options)
   impl_->options = std::move(options);
   std::error_code ec;
   std::filesystem::create_directories(impl_->options.dir, ec);
-  const std::string path = heartbeat_path(
-      impl_->options.dir, impl_->options.job_id, impl_->options.rank);
+  const std::string path =
+      heartbeat_path(impl_->options.dir, impl_->options.rank);
   impl_->out.open(path, std::ios::trunc);
   if (!impl_->out) {
     log_warn("heartbeat: cannot write %s; live telemetry disabled",

@@ -42,23 +42,21 @@ struct StagePlan {
 
 struct ProgressSnapshot {
   int rank = -1;
-  std::string phase;        // current stage name ("" before live_begin_run)
+  std::string phase;        // current stage name ("" before begin_run)
   int units_done = 0;       // completed units of the current stage
   int units_total = 0;      // granted units of the current stage
   double fraction = 0.0;    // weighted progress over the whole plan, [0, 1]
   double best_lnl = 0.0;    // best log-likelihood so far (valid iff has_lnl)
   bool has_lnl = false;
-  double elapsed_s = 0.0;   // since live_begin_run
-  bool running = false;     // between live_begin_run and live_end_run
+  double elapsed_s = 0.0;   // since begin_run
+  bool running = false;     // between begin_run and end_run
 };
 
-// One progress model instance. Historically this was a process-wide
-// singleton — fine while a process hosted exactly one analysis. The serving
-// layer (src/serve/) runs N concurrent jobs in one process tree, each with
-// its own LiveModel per logical rank, so the model is now an instantiable
-// class; the live_* free functions below keep the old API by delegating to a
-// process-default instance (used by the one-shot CLI path, where each
-// ProcessComm rank is its own process).
+// One rank's progress model. A one-shot run reports into the process-default
+// instance (default_live_model(); each ProcessComm rank is its own process),
+// which is also what HeartbeatWriter samples. A served job owns one LiveModel
+// per logical rank (JobContext::live_models), so N concurrent jobs in one
+// process tree never share one.
 //
 // All methods are thread-safe: updates arrive per search unit (tens per
 // run) and reads at heartbeat/stream rate (a few Hz), so one mutex-protected
@@ -102,22 +100,9 @@ class LiveModel {
   Impl* impl_;
 };
 
-// The process-default model the live_* free functions operate on.
+// The process-default model: a one-shot run's progress, the model
+// HeartbeatWriter samples, and JobContext::live_for_rank's fallback.
 [[nodiscard]] LiveModel& default_live_model();
-
-// Free-function API over the default model (one-shot CLI path).
-void live_begin_run(int rank, std::vector<StagePlan> plan);
-void live_begin_stage(const std::string& name);
-void live_unit_done();
-void live_report_lnl(double lnl);
-void live_end_run();
-[[nodiscard]] ProgressSnapshot live_snapshot();
-
-// Clears the default model (tests; obs::reset()).
-void live_reset();
-// Fork-child reinitialization (called from obs's pthread_atfork child
-// handler; not for general use).
-void live_reset_for_fork();
 
 // ---------------------------------------------------------------------------
 // Heartbeat wire format
@@ -155,19 +140,6 @@ struct Heartbeat {
 // Per-rank heartbeat file path under `dir`.
 [[nodiscard]] std::string heartbeat_path(const std::string& dir, int rank);
 
-// Job-namespaced variant: dir/job<id>.rank<r>.ndjson. Two concurrent jobs
-// sharing one telemetry directory must never write the same file; an empty
-// job id degrades to the legacy per-rank path. The id is sanitized (alnum,
-// '-', '_', '.') so a job name cannot escape the directory.
-[[nodiscard]] std::string heartbeat_path(const std::string& dir,
-                                         const std::string& job_id, int rank);
-
-// The sanitizer behind all job-namespaced artifact paths (heartbeats here,
-// checkpoints in core/checkpoint.h): any character outside [A-Za-z0-9._-]
-// becomes '_', so ids compose into file names but never into new path
-// components.
-[[nodiscard]] std::string sanitize_job_id(const std::string& job_id);
-
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
@@ -176,11 +148,10 @@ struct HeartbeatOptions {
   std::string dir;        // created if missing
   int rank = 0;
   int interval_ms = 250;  // sampling period of the monitor thread
-  std::string job_id;     // non-empty: write the job-namespaced path
-  LiveModel* model = nullptr;  // sample this model; null = the default model
 };
 
-// Publishes this rank's progress as ndjson heartbeats from a monitor thread.
+// Publishes this rank's progress (the default model) as ndjson heartbeats
+// from a monitor thread.
 // Writes one line immediately on start and a final line on stop, so even
 // sub-interval runs leave a parseable record. Construct only after forking
 // (each ProcessComm rank owns its writer).

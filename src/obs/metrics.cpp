@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/trace_json.h"
+
 namespace raxh::obs {
 
 // ---------------------------------------------------------------------------
@@ -33,53 +35,6 @@ void JobObs::set_lane_name(int lane, std::string name) {
   lane_names_.emplace_back(lane, std::move(name));
 }
 
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-void append_span_event(std::string& out, const std::string& name,
-                       std::uint64_t start_ns, std::uint64_t dur_ns, int pid,
-                       int tid, bool& first) {
-  if (!first) out += ",\n";
-  first = false;
-  char buf[128];
-  out += "{\"name\":\"";
-  append_json_escaped(out, name);
-  std::snprintf(buf, sizeof(buf),
-                "\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                "\"dur\":%.3f}",
-                pid, tid, static_cast<double>(start_ns) / 1000.0,
-                static_cast<double>(dur_ns) / 1000.0);
-  out += buf;
-}
-
-}  // namespace
-
 std::string JobObs::export_trace_fragment(
     int pid, const std::string& process_name,
     const std::vector<ExtraSpan>& extra) const {
@@ -91,7 +46,7 @@ std::string JobObs::export_trace_fragment(
     std::snprintf(buf, sizeof(buf), "%d", pid);
     out += buf;
     out += ",\"args\":{\"name\":\"";
-    append_json_escaped(out, process_name);
+    detail::append_json_escaped(out, process_name);
     out += "\"}}";
     first = false;
   }
@@ -102,17 +57,19 @@ std::string JobObs::export_trace_fragment(
     std::snprintf(buf, sizeof(buf), "%d,\"tid\":%d", pid, lane);
     out += buf;
     out += ",\"args\":{\"name\":\"";
-    append_json_escaped(out, lname);
+    detail::append_json_escaped(out, lname);
     out += "\"}}";
   }
   for (const auto& e : extra)
-    append_span_event(out, e.name, e.start_ns, e.dur_ns, pid, e.lane, first);
+    detail::append_span_event(out, e.name, e.start_ns, e.dur_ns, pid, e.lane,
+                              first);
   // Chronological emission once the ring wrapped.
   const std::size_t n = spans_.size();
   const std::size_t begin = span_full_ ? span_next_ : 0;
   for (std::size_t i = 0; i < n; ++i) {
     const JobSpan& s = spans_[(begin + i) % n];
-    append_span_event(out, s.name, s.start_ns, s.dur_ns, pid, s.lane, first);
+    detail::append_span_event(out, s.name, s.start_ns, s.dur_ns, pid, s.lane,
+                              first);
   }
   return out;
 }

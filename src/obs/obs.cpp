@@ -12,6 +12,7 @@
 #include "obs/live.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
+#include "obs/trace_json.h"
 
 namespace raxh::obs {
 
@@ -86,7 +87,7 @@ void atfork_child() {
   clear_all_locked(reg);
   run_phases_reset_for_fork();
   hist_reset_for_fork();
-  live_reset_for_fork();
+  default_live_model().reset_for_fork();
   comm::reset_for_fork();
 }
 
@@ -147,7 +148,7 @@ void reset() {
   detail::clear_all_locked(reg);
   run_phases().clear();
   hist_reset();
-  live_reset();
+  default_live_model().reset();
   set_rank(-1);
 }
 
@@ -268,52 +269,6 @@ void record_phase_span(std::string name, std::uint64_t start_ns,
   push_span(*track, std::move(name), start_ns, dur_ns);
 }
 
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-void append_event(std::string& out, const detail::ThreadState::SpanEvent& e,
-                  int pid, int tid, bool& first) {
-  if (!first) out += ",\n";
-  first = false;
-  char buf[128];
-  out += "{\"name\":\"";
-  append_json_escaped(out, e.name);
-  std::snprintf(buf, sizeof(buf),
-                "\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                "\"dur\":%.3f}",
-                pid, tid, static_cast<double>(e.start_ns) / 1000.0,
-                static_cast<double>(e.dur_ns) / 1000.0);
-  out += buf;
-}
-
-}  // namespace
-
 std::string export_trace_fragment(int my_rank) {
   const int pid = my_rank >= 0 ? my_rank : 0;
   std::string out;
@@ -340,8 +295,11 @@ std::string export_trace_fragment(int my_rank) {
     // Chronological order: [ring_next, end) then [0, ring_next) once full.
     const std::size_t n = state.ring.size();
     const std::size_t begin = state.ring_full ? state.ring_next : 0;
-    for (std::size_t i = 0; i < n; ++i)
-      append_event(out, state.ring[(begin + i) % n], pid, state.tid, first);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& e = state.ring[(begin + i) % n];
+      detail::append_span_event(out, e.name, e.start_ns, e.dur_ns, pid,
+                                state.tid, first);
+    }
   };
   for (const auto& state : reg.states) emit_ring(*state);
   if (reg.phase_track) {
@@ -393,7 +351,7 @@ std::string export_metrics_fragment(int my_rank,
     if (!first) out += ",";
     first = false;
     out += "\"";
-    append_json_escaped(out, name);
+    detail::append_json_escaped(out, name);
     char buf[40];
     std::snprintf(buf, sizeof(buf), "\":%.6f", secs);
     out += buf;

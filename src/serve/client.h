@@ -1,5 +1,5 @@
-// Client side of the raxhd protocol, shared by tools/raxhd_client and
-// `raxh --connect`. One Client wraps one connected socket; requests are
+// Client side of the raxhd protocol, used by tools/raxhd_client and
+// tools/raxh_top. One Client wraps one connected socket; requests are
 // synchronous (frame out, reply frame(s) in). A kErr reply surfaces as a
 // ServeError exception carrying the server's message.
 #pragma once

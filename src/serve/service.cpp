@@ -165,16 +165,12 @@ void ServiceCore::scheduler_loop() {
 
 void ServiceCore::execute(Job* job) {
   // The job's isolation bundle: namespaced artifacts, its own live models,
-  // the cancel token, the seed chain, and hands-off process globals (the
-  // daemon hosts many jobs; none of them owns the process rank stamp).
+  // the cancel token, and hands-off process globals (the daemon hosts many
+  // jobs; none of them owns the process rank stamp). The seeds travel in
+  // hopts.analysis below, exactly as in a one-shot run.
   JobContext ctx;
   ctx.job_id = job->id;
-  ctx.tenant = job->request.tenant;
-  ctx.trace_id = job->id;
   ctx.obs_job = job->jobobs;
-  ctx.parsimony_seed = job->request.parsimony_seed;
-  ctx.bootstrap_seed = job->request.bootstrap_seed;
-  ctx.use_seed_chain = true;
   ctx.cancel = &job->cancel;
   ctx.owns_process_globals = false;
   {

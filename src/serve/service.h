@@ -1,10 +1,10 @@
 // The socket-free heart of raxhd: a multi-tenant job service running N
 // concurrent comprehensive analyses inside one process tree. Each job gets a
 // JobContext (job-namespaced artifacts, its own LiveModel per logical rank,
-// a cancel token, the seed chain) and executes on thread-backed minimpi
-// ranks via the same run_hybrid_comprehensive the one-shot CLI uses — which
-// is what makes a served job bit-identical to a `raxh` run with the same
-// seeds and rank count.
+// a cancel token) and executes on thread-backed minimpi ranks via the same
+// run_hybrid_comprehensive the one-shot CLI uses — which is what makes a
+// served job bit-identical to a `raxh` run with the same seeds and rank
+// count.
 //
 // Pipeline: SUBMIT -> [admission thread: parse/compress or cache hit] ->
 // ready queue -> [scheduler thread: priority+FIFO over job slots] ->

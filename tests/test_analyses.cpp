@@ -257,6 +257,22 @@ TEST(Checkpoint, ResumeContinuesReplicateSet) {
   std::filesystem::remove(path);
 }
 
+// A job id names a file inside the checkpoint directory, never a path: every
+// character outside [A-Za-z0-9._-] (the '/' of a traversal above all) is
+// replaced, so the result is one file name directly under `dir`.
+TEST(Checkpoint, JobIdPathCannotEscapeDirectory) {
+  EXPECT_EQ(rank_checkpoint_path("d", "", 2), "d/rank2.ckpt");
+  EXPECT_EQ(rank_checkpoint_path("d", "j7", 2), "d/jobj7.rank2.ckpt");
+
+  const std::string escaped = rank_checkpoint_path("d", "../x/y", 2);
+  ASSERT_EQ(escaped.rfind("d/", 0), 0u) << escaped;
+  const std::string file = escaped.substr(2);
+  EXPECT_EQ(file.find('/'), std::string::npos) << escaped;
+  EXPECT_EQ(std::filesystem::path(escaped).parent_path(), "d") << escaped;
+  EXPECT_EQ(file.rfind("job", 0), 0u) << escaped;
+  EXPECT_NE(file.find(".rank2.ckpt"), std::string::npos) << escaped;
+}
+
 // --- fixed-topology evaluation ---
 
 TEST(EvaluateMode, OptimizesFixedTopology) {

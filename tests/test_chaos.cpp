@@ -121,7 +121,7 @@ Outcome run_chaos(bool processes, int nranks, const mpi::FaultPlan& plan,
     options.fault_tolerant = fault_tolerant;
     options.analysis.checkpoint_dir = ckpt_dir;
     const HybridResult r =
-        run_hybrid_comprehensive(comm, chaos_patterns(), options);
+        run_hybrid_comprehensive({}, comm, chaos_patterns(), options);
     if (comm.rank() == 0) {
       out.tree = r.best_tree_newick;
       out.lnl = r.best_lnl;

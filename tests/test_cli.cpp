@@ -170,13 +170,13 @@ TEST_F(CliSmoke, UnknownKernelMemberExitsTwo) {
       << output();
 }
 
-// Every removed flag is an error that names the flag (and, for -simd, its
-// replacement), whatever value it is given.
+// Every removed flag is an error that names the flag (and, for -simd and
+// --connect, its replacement), whatever value it is given.
 TEST_F(CliSmoke, RemovedSimdFlagExitsTwo) {
   const std::string eval = "-s " + alignment_ + " -f e -t " + true_tree_ +
                            " -n " + (work_ / "removed").string();
   const struct {
-    const char* args;
+    std::string args;
     const char* names;
   } removed[] = {
       {" -simd off", "--kernels=scalar"},
@@ -185,6 +185,7 @@ TEST_F(CliSmoke, RemovedSimdFlagExitsTwo) {
       {" --collectives=tree", "--collectives"},
       {" --transport=shm", "--transport"},
       {" --transport=socketpair", "--transport"},
+      {" --connect=" + (work_ / "none.sock").string(), "raxhd_client"},
   };
   for (const auto& r : removed) {
     const int status = run(eval + r.args);

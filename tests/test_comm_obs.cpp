@@ -236,7 +236,7 @@ TEST(CommObs, OverlappedReportCollectionHasPositiveOverlap) {
   // API actually bought — and the ratio must come out positive.
   CommObsScope scope;
   mpi::run_thread_ranks(3, [&](mpi::Comm& comm) {
-    run_hybrid_comprehensive(comm, tiny_patterns(), tiny_options(true));
+    run_hybrid_comprehensive({}, comm, tiny_patterns(), tiny_options(true));
   });
   const comm_obs::Snapshot snap = comm_obs::snapshot();
   comm_obs::OverlapTotals sum;
@@ -366,7 +366,7 @@ TEST(CommObs, PostmortemEstimatesClockOffsetsOverShmTransport) {
     options.transport = mpi::Transport::kShm;
     const auto fn = [&](mpi::Comm& inner) {
       mpi::FaultyComm comm(inner, plan);
-      run_hybrid_comprehensive(comm, tiny_patterns(), tiny_options(true));
+      run_hybrid_comprehensive({}, comm, tiny_patterns(), tiny_options(true));
     };
     if (processes)
       mpi::run_process_ranks(3, fn, options);

@@ -131,7 +131,7 @@ ComprehensiveOptions quick_options(int bootstraps = 5) {
 TEST(Comprehensive, SerialRankProducesValidReport) {
   const SmallData data;
   const auto report =
-      run_comprehensive_rank(data.patterns, quick_options(), 0, 1, nullptr);
+      run_comprehensive_rank({}, data.patterns, quick_options(), 0, 1, nullptr);
   EXPECT_EQ(report.counts.bootstraps, 5);
   EXPECT_EQ(report.counts.thorough_searches, 1);
   EXPECT_EQ(report.bootstrap_newicks.size(), 5u);
@@ -150,9 +150,9 @@ TEST(Comprehensive, ReproducibleForFixedSeedsAndRankCount) {
   // Paper §2.4: identical results for a given seed set and process count.
   const SmallData data;
   const auto a =
-      run_comprehensive_rank(data.patterns, quick_options(), 1, 2, nullptr);
+      run_comprehensive_rank({}, data.patterns, quick_options(), 1, 2, nullptr);
   const auto b =
-      run_comprehensive_rank(data.patterns, quick_options(), 1, 2, nullptr);
+      run_comprehensive_rank({}, data.patterns, quick_options(), 1, 2, nullptr);
   EXPECT_EQ(a.best_tree_newick, b.best_tree_newick);
   EXPECT_DOUBLE_EQ(a.best_lnl, b.best_lnl);
   EXPECT_EQ(a.bootstrap_newicks, b.bootstrap_newicks);
@@ -161,9 +161,9 @@ TEST(Comprehensive, ReproducibleForFixedSeedsAndRankCount) {
 TEST(Comprehensive, RanksDoDifferentWork) {
   const SmallData data;
   const auto r0 =
-      run_comprehensive_rank(data.patterns, quick_options(), 0, 2, nullptr);
+      run_comprehensive_rank({}, data.patterns, quick_options(), 0, 2, nullptr);
   const auto r1 =
-      run_comprehensive_rank(data.patterns, quick_options(), 1, 2, nullptr);
+      run_comprehensive_rank({}, data.patterns, quick_options(), 1, 2, nullptr);
   // Different seeds -> different bootstrap replicate sets.
   EXPECT_NE(r0.bootstrap_newicks, r1.bootstrap_newicks);
 }
@@ -171,7 +171,7 @@ TEST(Comprehensive, RanksDoDifferentWork) {
 TEST(Comprehensive, AfterBootstrapsHookFires) {
   const SmallData data;
   int fired = 0;
-  run_comprehensive_rank(data.patterns, quick_options(), 0, 1, nullptr,
+  run_comprehensive_rank({}, data.patterns, quick_options(), 0, 1, nullptr,
                          [&] { ++fired; });
   EXPECT_EQ(fired, 1);
 }
@@ -179,10 +179,10 @@ TEST(Comprehensive, AfterBootstrapsHookFires) {
 TEST(Comprehensive, ThreadedCrewMatchesSerial) {
   const SmallData data;
   const auto serial =
-      run_comprehensive_rank(data.patterns, quick_options(), 0, 1, nullptr);
+      run_comprehensive_rank({}, data.patterns, quick_options(), 0, 1, nullptr);
   Workforce crew(3);
   const auto threaded =
-      run_comprehensive_rank(data.patterns, quick_options(), 0, 1, &crew);
+      run_comprehensive_rank({}, data.patterns, quick_options(), 0, 1, &crew);
   // Fine-grained parallelism must not change the result, only the speed
   // (branch lengths may differ in the last ulps from reduction order).
   const Tree a =
@@ -205,7 +205,8 @@ TEST(Hybrid, SelectsGlobalBestAndBroadcasts) {
   std::mutex mu;
   std::vector<HybridResult> results;
   mpi::run_thread_ranks(3, [&](mpi::Comm& comm) {
-    const auto result = run_hybrid_comprehensive(comm, data.patterns, options);
+    const auto result =
+        run_hybrid_comprehensive({}, comm, data.patterns, options);
     std::lock_guard<std::mutex> lock(mu);
     results.push_back(result);
   });
@@ -245,13 +246,14 @@ TEST(Hybrid, MultiProcessQualityAtLeastSerial) {
 
   double serial_lnl = 0.0;
   mpi::run_thread_ranks(1, [&](mpi::Comm& comm) {
-    serial_lnl = run_hybrid_comprehensive(comm, data.patterns, options).best_lnl;
+    serial_lnl =
+        run_hybrid_comprehensive({}, comm, data.patterns, options).best_lnl;
   });
 
   double hybrid_lnl = 0.0;
   std::mutex mu;
   mpi::run_thread_ranks(3, [&](mpi::Comm& comm) {
-    const auto r = run_hybrid_comprehensive(comm, data.patterns, options);
+    const auto r = run_hybrid_comprehensive({}, comm, data.patterns, options);
     std::lock_guard<std::mutex> lock(mu);
     hybrid_lnl = r.best_lnl;
   });
@@ -267,7 +269,7 @@ TEST(Hybrid, BootstoppingReportRuns) {
   options.run_bootstopping = true;
 
   mpi::run_thread_ranks(2, [&](mpi::Comm& comm) {
-    const auto r = run_hybrid_comprehensive(comm, data.patterns, options);
+    const auto r = run_hybrid_comprehensive({}, comm, data.patterns, options);
     if (comm.rank() == 0) {
       // 8 replicates of a tiny clean data set: the FC statistic exists.
       EXPECT_GE(r.bootstop.mean_correlation, -1.0);

@@ -304,7 +304,7 @@ TEST(FlightIntegration, PostMortemNamesDeadRankOnBothBackends) {
     flight::reset();
     const auto fn = [&](mpi::Comm& inner) {
       mpi::FaultyComm comm(inner, plan);
-      run_hybrid_comprehensive(comm, tiny_patterns(), tiny_options(true));
+      run_hybrid_comprehensive({}, comm, tiny_patterns(), tiny_options(true));
     };
     if (processes)
       mpi::run_process_ranks(3, fn);
@@ -343,7 +343,7 @@ TEST(FlightIntegration, CriticalPathReconcilesWithPhaseTimers) {
   flight::reset();
   obs::run_phases().clear();
   mpi::run_thread_ranks(4, [&](mpi::Comm& comm) {
-    run_hybrid_comprehensive(comm, tiny_patterns(), tiny_options(false));
+    run_hybrid_comprehensive({}, comm, tiny_patterns(), tiny_options(false));
     flight::dump_now(comm.rank(), "end of run");
   });
 

@@ -23,11 +23,13 @@ using testutil::JsonValidator;
 
 class LiveTest : public ::testing::Test {
  protected:
-  void SetUp() override { obs::live_reset(); }
+  void SetUp() override { live.reset(); }
   void TearDown() override {
     obs::set_enabled(false);
-    obs::live_reset();
+    live.reset();
   }
+
+  obs::LiveModel& live = obs::default_live_model();
 };
 
 // Synthetic heartbeat: a rank that has reached `fraction` after `elapsed_s`.
@@ -45,46 +47,46 @@ Heartbeat beat(int rank, double fraction, double elapsed_s,
 // --- progress model --------------------------------------------------------
 
 TEST_F(LiveTest, WeightedFractionTracksThePlan) {
-  obs::live_begin_run(3, {{"a", 2, 1.0}, {"b", 1, 2.0}});  // total weight 4
-  obs::live_begin_stage("a");
-  auto snap = obs::live_snapshot();
+  live.begin_run(3, {{"a", 2, 1.0}, {"b", 1, 2.0}});  // total weight 4
+  live.begin_stage("a");
+  auto snap = live.snapshot();
   EXPECT_EQ(snap.rank, 3);
   EXPECT_EQ(snap.phase, "a");
   EXPECT_EQ(snap.units_total, 2);
   EXPECT_DOUBLE_EQ(snap.fraction, 0.0);
   EXPECT_TRUE(snap.running);
 
-  obs::live_unit_done();
-  EXPECT_DOUBLE_EQ(obs::live_snapshot().fraction, 0.25);
-  obs::live_unit_done();
-  EXPECT_DOUBLE_EQ(obs::live_snapshot().fraction, 0.5);
+  live.unit_done();
+  EXPECT_DOUBLE_EQ(live.snapshot().fraction, 0.25);
+  live.unit_done();
+  EXPECT_DOUBLE_EQ(live.snapshot().fraction, 0.5);
 
   // Unplanned phases relabel without unit accounting; completed-stage
   // weight is preserved.
-  obs::live_begin_stage("sync");
-  snap = obs::live_snapshot();
+  live.begin_stage("sync");
+  snap = live.snapshot();
   EXPECT_EQ(snap.phase, "sync");
   EXPECT_EQ(snap.units_total, 0);
   EXPECT_DOUBLE_EQ(snap.fraction, 0.5);
 
-  obs::live_begin_stage("b");
-  obs::live_unit_done();
-  EXPECT_DOUBLE_EQ(obs::live_snapshot().fraction, 1.0);
+  live.begin_stage("b");
+  live.unit_done();
+  EXPECT_DOUBLE_EQ(live.snapshot().fraction, 1.0);
 
-  obs::live_end_run();
-  snap = obs::live_snapshot();
+  live.end_run();
+  snap = live.snapshot();
   EXPECT_EQ(snap.phase, "done");
   EXPECT_DOUBLE_EQ(snap.fraction, 1.0);
   EXPECT_FALSE(snap.running);
 }
 
 TEST_F(LiveTest, BestLnlKeepsTheMaximum) {
-  obs::live_begin_run(0, {{"a", 1, 1.0}});
-  EXPECT_FALSE(obs::live_snapshot().has_lnl);
-  obs::live_report_lnl(-5000.0);
-  obs::live_report_lnl(-4000.0);
-  obs::live_report_lnl(-4500.0);  // worse: ignored
-  const auto snap = obs::live_snapshot();
+  live.begin_run(0, {{"a", 1, 1.0}});
+  EXPECT_FALSE(live.snapshot().has_lnl);
+  live.report_lnl(-5000.0);
+  live.report_lnl(-4000.0);
+  live.report_lnl(-4500.0);  // worse: ignored
+  const auto snap = live.snapshot();
   EXPECT_TRUE(snap.has_lnl);
   EXPECT_DOUBLE_EQ(snap.best_lnl, -4000.0);
 }
@@ -230,15 +232,15 @@ TEST(AggregateStatus, StatusLineCarriesEtaAndStragglers) {
 
 TEST_F(LiveTest, WriterProducesParseableNdjson) {
   const std::string dir = ::testing::TempDir() + "raxh_live_writer";
-  obs::live_begin_run(7, {{"a", 4, 1.0}});
-  obs::live_begin_stage("a");
+  live.begin_run(7, {{"a", 4, 1.0}});
+  live.begin_stage("a");
   {
-    obs::HeartbeatWriter writer(obs::HeartbeatOptions{dir, 7, 10, {}, nullptr});
+    obs::HeartbeatWriter writer(obs::HeartbeatOptions{dir, 7, 10});
     for (int i = 0; i < 4; ++i) {
-      obs::live_unit_done();
+      live.unit_done();
       std::this_thread::sleep_for(std::chrono::milliseconds(15));
     }
-    obs::live_end_run();
+    live.end_run();
   }  // destructor stops: final line flushed
 
   std::ifstream in(obs::heartbeat_path(dir, 7));
@@ -262,10 +264,10 @@ TEST_F(LiveTest, WriterProducesParseableNdjson) {
 
 TEST_F(LiveTest, ScanToleratesTornLinesAndAggregates) {
   const std::string dir = ::testing::TempDir() + "raxh_live_scan";
-  obs::live_reset();
+  live.reset();
   {
-    obs::HeartbeatWriter w0(obs::HeartbeatOptions{dir, 0, 1000, {}, nullptr});
-    obs::HeartbeatWriter w1(obs::HeartbeatOptions{dir, 1, 1000, {}, nullptr});
+    obs::HeartbeatWriter w0(obs::HeartbeatOptions{dir, 0, 1000});
+    obs::HeartbeatWriter w1(obs::HeartbeatOptions{dir, 1, 1000});
   }  // one beat each
   {
     // Overwrite with controlled content: rank 0 progressing, rank 1's file

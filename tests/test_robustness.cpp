@@ -209,7 +209,7 @@ TEST(CrossBackend, ThreadAndProcessRanksAgreeOnHybridResult) {
   {
     std::mutex mu;
     mpi::run_thread_ranks(2, [&](mpi::Comm& comm) {
-      const auto r = run_hybrid_comprehensive(comm, patterns, options);
+      const auto r = run_hybrid_comprehensive({}, comm, patterns, options);
       if (comm.rank() == 0) {
         std::lock_guard<std::mutex> lock(mu);
         thread_tree = r.best_tree_newick;
@@ -221,7 +221,7 @@ TEST(CrossBackend, ThreadAndProcessRanksAgreeOnHybridResult) {
   std::string process_tree;
   double process_lnl = 0.0;
   mpi::run_process_ranks(2, [&](mpi::Comm& comm) {
-    const auto r = run_hybrid_comprehensive(comm, patterns, options);
+    const auto r = run_hybrid_comprehensive({}, comm, patterns, options);
     if (comm.rank() == 0) {
       process_tree = r.best_tree_newick;  // rank 0 == this process
       process_lnl = r.best_lnl;

@@ -65,7 +65,7 @@ serve::JobRequest small_request(std::string alignment, std::string name,
 }
 
 // What ServiceCore::execute builds from small_request — the golden path runs
-// the same options through the legacy (process-global) API.
+// the same options as a one-shot run does, with a default JobContext.
 HybridOptions golden_options(const serve::JobRequest& r) {
   HybridOptions o;
   o.analysis.specified_bootstraps = r.bootstraps;
@@ -85,7 +85,7 @@ HybridResult golden_run(const serve::JobRequest& r) {
   const HybridOptions options = golden_options(r);
   HybridResult result;
   mpi::run_thread_ranks(r.nranks, [&](mpi::Comm& comm) {
-    HybridResult local = run_hybrid_comprehensive(comm, *patterns, options);
+    HybridResult local = run_hybrid_comprehensive({}, comm, *patterns, options);
     if (comm.rank() == 0) result = std::move(local);
   });
   return result;
