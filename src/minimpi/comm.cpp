@@ -39,21 +39,22 @@ std::uint32_t flight_name(int op) {
 
 }  // namespace
 
-// One collective call, measured once: a single pair of clock samples feeds
-// the flight kCollBegin/kCollEnd pair and the `mpi.<op>` span (raw
-// duration), and the collective-latency histogram plus, for barrier,
-// barrier_wait_ns (duration minus the fault-plan sleeps this thread served:
-// those are chaos-test artifacts, not comm latency). The outermost scope
-// also routes every send/recv inside it to its op and starts a new
-// collective instance for kCollEdge hop events.
+// One collective call, measured once: the outermost scope's single pair of
+// clock samples feeds the flight kCollBegin/kCollEnd pair and the `mpi.<op>`
+// span (raw duration), and the collective-latency histogram plus, for
+// barrier, barrier_wait_ns (duration minus the fault-plan sleeps this thread
+// served: those are chaos-test artifacts, not comm latency). It also routes
+// every send/recv inside it to its op and starts a new collective instance
+// for kCollEdge hop events. A nested scope (the bcast inside allreduce_of)
+// books nothing: one call, one record.
 class Comm::CollectiveScope {
  public:
   CollectiveScope(Comm& comm, int op)
       : comm_(comm),
         op_(op),
         outermost_(comm.op_ == kOpP2p),
-        obs_(obs::enabled()),
-        flight_(flight::enabled()) {
+        obs_(outermost_ && obs::enabled()),
+        flight_(outermost_ && flight::enabled()) {
     if (outermost_) {
       comm_.op_ = op;
       ++comm_.coll_seq_;
@@ -86,7 +87,7 @@ class Comm::CollectiveScope {
  private:
   // Barrier wait is booked with observability off too.
   [[nodiscard]] bool timed() const {
-    return obs_ || flight_ || op_ == kOpBarrier;
+    return obs_ || flight_ || (outermost_ && op_ == kOpBarrier);
   }
 
   Comm& comm_;
@@ -387,7 +388,7 @@ Bytes Comm::allreduce_of(T value, const Fold& fold) {
     fold(operands, out);
     result = out.take();
   }
-  bcast(result, 0);  // the outermost scope keeps this attributed to reduce
+  bcast(result, 0);  // books nothing: the reduce's scope is the record
   return result;
 }
 

@@ -254,10 +254,10 @@ class Comm {
 
  private:
   // One collective call's single measurement (comm.cpp): attribution by op
-  // index (outermost wins), one pair of clock samples feeding the flight
-  // kCollBegin/kCollEnd pair, the span, the collective-latency histogram
-  // and, for barrier, barrier_wait_ns. Every collective entry point opens
-  // exactly one.
+  // index, one pair of clock samples feeding the flight kCollBegin/kCollEnd
+  // pair, the span, the collective-latency histogram and, for barrier,
+  // barrier_wait_ns. Every collective entry point opens one; only the
+  // outermost books, so a nested call (allreduce's bcast) adds no record.
   class CollectiveScope;
 
   // This comm's block, acquired on the first counted send or recv.

@@ -10,6 +10,7 @@
 
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/telemetry.h"
 
 namespace raxh::obs::comm {
 
@@ -41,7 +42,8 @@ constexpr int kOverlapFields = 5;
 }  // namespace
 
 // One rank's accumulation block: relaxed atomics, owner-thread writes only
-// (the hist.cpp idiom), snapshot reads from any thread. ~17 KiB per Comm.
+// (the thread-tally idiom of telemetry.h), snapshot reads from any thread.
+// ~17 KiB per Comm.
 struct alignas(64) Block {
   int rank = -1;
   std::atomic<std::uint64_t> edges[kMaxPeers][kNumOps][kEdgeFields];
@@ -73,10 +75,7 @@ Registry& registry() {
 
 std::atomic<int> g_stalled_now{0};
 
-inline void add_relaxed(std::atomic<std::uint64_t>& slot, std::uint64_t n) {
-  slot.store(slot.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
-}
+constexpr auto add_relaxed = detail::bump<detail::Writers::kOwner>;
 
 inline int clamp_peer(Block* block, int peer) {
   if (peer >= 0 && peer < kMaxPeers) return peer;

@@ -6,9 +6,9 @@
 // on. Comm::Stats is a per-op fold of that block, so the matrix
 // "reconciles exactly" with CommStats by construction; raxh_comm's offline
 // check still guards the two sections of a --metrics-out file against each
-// other. Accumulation follows the hist.cpp idiom: each block is padded
-// relaxed atomics written only by the communicating thread; snapshots read
-// them from any thread.
+// other. Accumulation follows the thread-tally idiom of telemetry.h: each
+// block is padded relaxed atomics written only by the communicating thread;
+// snapshots read them from any thread.
 //
 // Layering: this header is part of raxh_obs, which minimpi links — so it
 // must not include minimpi headers. The (peer, op) convention is defined

@@ -314,8 +314,6 @@ void set_dump_dir(const std::string& dir) {
   std::memcpy(g_dump_dir, d.c_str(), d.size() + 1);
 }
 
-std::string dump_dir() { return g_dump_dir; }
-
 std::string dump_path_for_rank(int rank) {
   char path[640];
   if (!build_dump_path(path, sizeof(path), rank)) return "";

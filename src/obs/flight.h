@@ -140,7 +140,6 @@ inline void record(Kind k, std::uint64_t a = 0, std::uint64_t b = 0) {
 // Where dumps go ("" disables dumping; the directory is created lazily at
 // dump time with a plain mkdir, so it must be at most one level deep).
 void set_dump_dir(const std::string& dir);
-[[nodiscard]] std::string dump_dir();
 // DIR/rank<r>.blackbox, or "" when no dump dir is configured.
 [[nodiscard]] std::string dump_path_for_rank(int rank);
 

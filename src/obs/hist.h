@@ -2,9 +2,9 @@
 // synchronization hot spots: crew job durations, the master's barrier wait,
 // and minimpi collective latencies.
 //
-// Storage mirrors the counter design in obs.h: each thread owns a padded
-// block of relaxed-atomic bucket counts (owner-thread writes only — no
-// contention, no lock prefix), and snapshots merge the per-thread blocks.
+// Storage is the counters' own: each thread's histograms live in its obs
+// tally next to its counters (telemetry.h; owner-thread writes only, no
+// contention, no lock prefix), and snapshots fold the per-thread tallies.
 // A recorded duration costs one bit_width plus a handful of relaxed stores;
 // with observability disabled hist_record() is the usual single-branch no-op.
 //
@@ -18,6 +18,8 @@
 #include <bit>
 #include <cstdint>
 #include <string>
+
+#include "obs/obs.h"
 
 namespace raxh::obs {
 
@@ -58,9 +60,12 @@ namespace detail {
 void hist_add(Hist h, std::uint64_t ns);
 }  // namespace detail
 
-// Record one duration sample into this thread's block. No-op when
+// Record one duration sample into this thread's tally. No-op when
 // observability is disabled (callers may also pre-check obs::enabled()).
-void hist_record(Hist h, std::uint64_t ns);
+inline void hist_record(Hist h, std::uint64_t ns) {
+  if (!enabled()) return;
+  detail::hist_add(h, ns);
+}
 
 // Merged-over-threads view of one histogram at a point in time.
 struct HistSnapshot {
@@ -83,10 +88,8 @@ struct HistSnapshot {
 // per histogram count/mean/max plus p50/p95/p99 in nanoseconds.
 [[nodiscard]] std::string hist_metrics_section();
 
-// Clears all histograms (tests; obs::reset()).
+// Clears all histograms but not the counters (tests; obs::reset() and the
+// fork child clear both).
 void hist_reset();
-// Fork-child reinitialization (called from obs's pthread_atfork child
-// handler; not for general use).
-void hist_reset_for_fork();
 
 }  // namespace raxh::obs

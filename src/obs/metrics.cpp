@@ -14,15 +14,12 @@ namespace raxh::obs {
 void JobObs::add_span(std::string name, std::uint64_t start_ns,
                       std::uint64_t dur_ns, int lane) {
   std::lock_guard<std::mutex> lock(span_mu_);
-  JobSpan span{std::move(name), start_ns, dur_ns, lane};
-  if (spans_.size() < kJobSpanCapacity) {
-    spans_.push_back(std::move(span));
-    return;
-  }
-  span_full_ = true;
-  spans_[span_next_] = std::move(span);
-  span_next_ = (span_next_ + 1) % kJobSpanCapacity;
-  dropped_spans_.fetch_add(1, std::memory_order_relaxed);
+  spans_.push({std::move(name), start_ns, dur_ns, lane});
+}
+
+std::uint64_t JobObs::dropped_spans() const {
+  std::lock_guard<std::mutex> lock(span_mu_);
+  return spans_.dropped();
 }
 
 void JobObs::set_lane_name(int lane, std::string name) {
@@ -40,37 +37,17 @@ std::string JobObs::export_trace_fragment(
     const std::vector<ExtraSpan>& extra) const {
   std::string out;
   bool first = true;
-  {
-    char buf[64];
-    out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
-    std::snprintf(buf, sizeof(buf), "%d", pid);
-    out += buf;
-    out += ",\"args\":{\"name\":\"";
-    detail::append_json_escaped(out, process_name);
-    out += "\"}}";
-    first = false;
-  }
+  detail::append_name_event(out, pid, -1, process_name, first);
   std::lock_guard<std::mutex> lock(span_mu_);
-  for (const auto& [lane, lname] : lane_names_) {
-    char buf[64];
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":";
-    std::snprintf(buf, sizeof(buf), "%d,\"tid\":%d", pid, lane);
-    out += buf;
-    out += ",\"args\":{\"name\":\"";
-    detail::append_json_escaped(out, lname);
-    out += "\"}}";
-  }
+  for (const auto& [lane, lname] : lane_names_)
+    detail::append_name_event(out, pid, lane, lname, first);
   for (const auto& e : extra)
     detail::append_span_event(out, e.name, e.start_ns, e.dur_ns, pid, e.lane,
                               first);
-  // Chronological emission once the ring wrapped.
-  const std::size_t n = spans_.size();
-  const std::size_t begin = span_full_ ? span_next_ : 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const JobSpan& s = spans_[(begin + i) % n];
+  spans_.visit([&](const ExtraSpan& s) {
     detail::append_span_event(out, s.name, s.start_ns, s.dur_ns, pid, s.lane,
                               first);
-  }
+  });
   return out;
 }
 
@@ -175,16 +152,6 @@ void PromWriter::counter_labeled(
   for (const auto& [label, value] : series)
     out_ += name + "{" + label_name + "=\"" + prom_escape_label(label) +
             "\"} " + std::to_string(value) + "\n";
-}
-
-void PromWriter::gauge_labeled(
-    const std::string& name, const std::string& help,
-    const std::string& label_name,
-    const std::vector<std::pair<std::string, double>>& series) {
-  preamble(name, help, "gauge");
-  for (const auto& [label, value] : series)
-    out_ += name + "{" + label_name + "=\"" + prom_escape_label(label) +
-            "\"} " + format_double(value) + "\n";
 }
 
 void PromWriter::counter_multilabeled(

@@ -5,19 +5,22 @@
 // one-shot run, useless for telling two concurrent daemon jobs apart. A
 // JobObs block fixes that by *thread binding*: every thread working on
 // behalf of a job binds the job's block (JobScope RAII; crew threads inherit
-// their creator's binding), and the hot-path hooks in obs.cpp/hist.cpp then
-// mirror each counter increment, histogram sample, and span into the bound
-// block as well as the global pool. Because each event is charged to exactly
-// one job (or to none, for daemon housekeeping), per-job deltas sum to the
-// process-global delta — the invariant the serving tests assert.
+// their creator's binding), and the hot-path hooks in obs.cpp then mirror
+// each counter increment and histogram sample into the job's tally as well
+// as the thread's, and route each span into the job's ring instead of the
+// thread's. The tally and the ring are the types a thread holds
+// (telemetry.h), so counters() and hist() are the same folds the global
+// snapshots use. Because each event is charged to exactly one job (or to
+// none, for daemon housekeeping), per-job deltas sum to the process-global
+// delta — the invariant the serving tests assert.
 //
 // Cost model: the disabled path is untouched — obs::count() and friends
 // still return after one relaxed atomic load when observability is off, so
 // the <2% disabled-overhead budget is unaffected by construction. When
 // enabled, a bound thread pays one thread-local load + branch plus a relaxed
-// fetch_add into the job block per event (the block is shared by the job's
-// few threads, so unlike the global pool it uses real atomic adds).
-// bench_obs_overhead measures both numbers.
+// fetch_add into the job tally per event (the tally is shared by the job's
+// few threads, so unlike a thread's it uses real atomic adds and a CAS for
+// the histogram max). bench_obs_overhead measures both numbers.
 //
 // PromWriter renders metrics in the Prometheus text exposition format
 // (version 0.0.4): HELP/TYPE preambles, escaped label values, and log2
@@ -34,6 +37,7 @@
 
 #include "obs/hist.h"
 #include "obs/obs.h"
+#include "obs/telemetry.h"
 
 namespace raxh::obs {
 
@@ -59,22 +63,10 @@ class JobObs {
   JobObs(const JobObs&) = delete;
   JobObs& operator=(const JobObs&) = delete;
 
-  // Hot-path mirrors, called from obs.cpp/hist.cpp hooks on bound threads.
-  // Multiple threads of one job add concurrently: real relaxed fetch_adds.
-  void add_count(Counter c, std::uint64_t n) {
-    counters_[static_cast<int>(c)].fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_hist(Hist h, std::uint64_t ns) {
-    const int hi = static_cast<int>(h);
-    hist_buckets_[hi][hist_bucket(ns)].fetch_add(1, std::memory_order_relaxed);
-    hist_count_[hi].fetch_add(1, std::memory_order_relaxed);
-    hist_sum_[hi].fetch_add(ns, std::memory_order_relaxed);
-    // Lock-free running max (CAS loop; contention is rare and bounded).
-    std::uint64_t cur = hist_max_[hi].load(std::memory_order_relaxed);
-    while (ns > cur && !hist_max_[hi].compare_exchange_weak(
-                           cur, ns, std::memory_order_relaxed)) {
-    }
-  }
+  // The job's counters and histograms, written by the obs.cpp hooks on
+  // bound threads. A job's threads add concurrently, so writers use
+  // Writers::kShared.
+  detail::Tally& tally() { return tally_; }
   void add_span(std::string name, std::uint64_t start_ns, std::uint64_t dur_ns,
                 int lane);
 
@@ -91,31 +83,23 @@ class JobObs {
   // under the job's pid). Typically "rank R" from the hybrid driver.
   void set_lane_name(int lane, std::string name);
 
-  // Point-in-time views (any thread).
+  // Point-in-time views (any thread): folds of the job's tally.
   [[nodiscard]] CounterSnapshot counters() const {
     CounterSnapshot snap;
-    for (int i = 0; i < kNumCounters; ++i)
-      snap.values[i] = counters_[i].load(std::memory_order_relaxed);
+    tally_.fold_counters(snap);
     return snap;
   }
   [[nodiscard]] HistSnapshot hist(Hist h) const {
     HistSnapshot snap;
-    const int hi = static_cast<int>(h);
-    for (int i = 0; i < kHistBuckets; ++i)
-      snap.buckets[i] = hist_buckets_[hi][i].load(std::memory_order_relaxed);
-    snap.count = hist_count_[hi].load(std::memory_order_relaxed);
-    snap.sum_ns = hist_sum_[hi].load(std::memory_order_relaxed);
-    snap.max_ns = hist_max_[hi].load(std::memory_order_relaxed);
+    tally_.fold_hist(h, snap);
     return snap;
   }
-  [[nodiscard]] std::uint64_t dropped_spans() const {
-    return dropped_spans_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t dropped_spans() const;
 
   // This job's spans (plus lane-name metadata) as a Chrome trace_event
   // fragment with pid=`pid`, mergeable by obs::merge_trace_fragments.
   // Lifecycle spans the serving layer wants on a dedicated lane are passed
-  // in as `extra` (name, start_ns, dur_ns, lane).
+  // in as `extra`; the job's ring stores the same span-on-a-lane record.
   struct ExtraSpan {
     std::string name;
     std::uint64_t start_ns = 0;
@@ -127,25 +111,11 @@ class JobObs {
       const std::vector<ExtraSpan>& extra) const;
 
  private:
-  struct JobSpan {
-    std::string name;
-    std::uint64_t start_ns = 0;
-    std::uint64_t dur_ns = 0;
-    int lane = 0;
-  };
-
-  std::atomic<std::uint64_t> counters_[kNumCounters] = {};
-  std::atomic<std::uint64_t> hist_buckets_[kNumHists][kHistBuckets] = {};
-  std::atomic<std::uint64_t> hist_count_[kNumHists] = {};
-  std::atomic<std::uint64_t> hist_sum_[kNumHists] = {};
-  std::atomic<std::uint64_t> hist_max_[kNumHists] = {};
-  std::atomic<std::uint64_t> dropped_spans_{0};
+  detail::Tally tally_;
   std::atomic<int> comm_stalled_{0};
 
-  mutable std::mutex span_mu_;
-  std::vector<JobSpan> spans_;  // bounded ring at kJobSpanCapacity
-  std::size_t span_next_ = 0;
-  bool span_full_ = false;
+  mutable std::mutex span_mu_;  // guards spans_ and lane_names_
+  detail::SpanRing<ExtraSpan> spans_{kJobSpanCapacity};
   std::vector<std::pair<int, std::string>> lane_names_;
 };
 
@@ -182,7 +152,7 @@ class JobScope {
 };
 
 namespace detail {
-// Hot-path view of the binding, read by the obs.cpp/hist.cpp hooks. Raw
+// Hot-path view of the binding, read by the obs.cpp hooks. Raw
 // pointer: the thread-local shared_ptr set by bind_job keeps it alive.
 extern thread_local JobObs* t_job_sink;
 extern thread_local int t_job_lane;
@@ -209,10 +179,6 @@ class PromWriter {
       const std::string& name, const std::string& help,
       const std::string& label_name,
       const std::vector<std::pair<std::string, std::uint64_t>>& series);
-  void gauge_labeled(
-      const std::string& name, const std::string& help,
-      const std::string& label_name,
-      const std::vector<std::pair<std::string, double>>& series);
   // Fully general variant for multi-label families (e.g. the comm-plane's
   // {rank,peer,op,dir} edges): each entry's first element is the complete
   // pre-rendered label set — the text between the braces, already escaped.

@@ -3,6 +3,7 @@
 #include <pthread.h>
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -12,6 +13,7 @@
 #include "obs/live.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
+#include "obs/telemetry.h"
 #include "obs/trace_json.h"
 
 namespace raxh::obs {
@@ -24,35 +26,36 @@ namespace {
 std::atomic<int> g_rank{-1};
 }  // namespace
 
-// One per thread, padded so no two threads' counters share a cache line.
-// Owner-thread writes are relaxed atomic stores (no lock prefix); snapshot
-// reads from other threads are relaxed loads — race-free under TSan.
-struct alignas(64) ThreadState {
+// One per thread: the thread's tally (owner-only writes, see telemetry.h)
+// and its span ring. The phase track is one more ThreadState whose tally
+// stays empty.
+struct ThreadState {
   int tid = 0;
-  std::atomic<std::uint64_t> counters[kNumCounters] = {};
+  Tally tally;
 
   struct SpanEvent {
     std::string name;
     std::uint64_t start_ns = 0;
     std::uint64_t dur_ns = 0;
   };
-  std::mutex trace_mutex;           // uncontended: owner writes, exporter reads
-  std::vector<SpanEvent> ring;      // bounded at kTraceCapacity
-  std::size_t ring_next = 0;        // insertion cursor once full
-  bool ring_full = false;
+  std::mutex trace_mutex;  // uncontended: owner writes, exporter reads
+  SpanRing<SpanEvent> ring{kTraceCapacity};
 };
 
 namespace {
 
 struct Registry {
   std::mutex mutex;
-  // shared_ptr so a thread's spans and counters outlive the thread (crew
-  // workers are torn down per analysis, but their data belongs to the run).
+  // shared_ptr so a thread's spans, counters and latencies outlive the
+  // thread (crew workers are torn down per analysis, but their data belongs
+  // to the run).
   std::vector<std::shared_ptr<ThreadState>> states;
   // Process-wide track for phase markers, exported as tid kPhaseTrackTid.
   // Kept out of `states` so phase spans never compete with per-thread rings.
-  std::shared_ptr<ThreadState> phase_track;
+  ThreadState phase_track;
   int next_tid = 0;
+
+  Registry() { phase_track.tid = kPhaseTrackTid; }
 };
 
 Registry& registry() {
@@ -61,16 +64,14 @@ Registry& registry() {
 }
 
 void clear_state(ThreadState& state) {
-  for (auto& c : state.counters) c.store(0, std::memory_order_relaxed);
+  state.tally.clear();
   std::lock_guard<std::mutex> lock(state.trace_mutex);
   state.ring.clear();
-  state.ring_next = 0;
-  state.ring_full = false;
 }
 
 void clear_all_locked(Registry& reg) {
   for (auto& state : reg.states) clear_state(*state);
-  if (reg.phase_track) clear_state(*reg.phase_track);
+  clear_state(reg.phase_track);
 }
 
 // Forked children must not re-export the parent's pre-fork history: minimpi's
@@ -81,12 +82,10 @@ void atfork_child() {
   // Fresh mutexes: the forked child owns single-threaded copies, but a mutex
   // state inherited mid-flight would be undefined to lock.
   new (&reg.mutex) std::mutex;
-  for (auto& state : reg.states)
-    new (&state->trace_mutex) std::mutex;
-  if (reg.phase_track) new (&reg.phase_track->trace_mutex) std::mutex;
+  for (auto& state : reg.states) new (&state->trace_mutex) std::mutex;
+  new (&reg.phase_track.trace_mutex) std::mutex;
   clear_all_locked(reg);
   run_phases_reset_for_fork();
-  hist_reset_for_fork();
   default_live_model().reset_for_fork();
   comm::reset_for_fork();
 }
@@ -95,8 +94,7 @@ std::once_flag g_atfork_once;
 
 thread_local std::shared_ptr<ThreadState> t_state;
 
-}  // namespace
-
+// This thread's state block (registered globally on first use).
 ThreadState& thread_state() {
   if (!t_state) {
     std::call_once(g_atfork_once,
@@ -111,14 +109,20 @@ ThreadState& thread_state() {
   return *t_state;
 }
 
+}  // namespace
+
+// Job attribution: a thread bound to a JobObs (serving layer) mirrors each
+// counter increment and histogram sample into the job's tally, so per-job
+// deltas sum to the global delta. Unbound threads (every one-shot run) pay
+// one TLS load + branch.
 void add_count(Counter c, std::uint64_t n) {
-  auto& slot = thread_state().counters[static_cast<int>(c)];
-  slot.store(slot.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
-  // Job attribution: a thread bound to a JobObs (serving layer) mirrors the
-  // increment into the job's block, so per-job deltas sum to the global
-  // delta. Unbound threads (every one-shot run) pay one TLS load + branch.
-  if (JobObs* job = t_job_sink) job->add_count(c, n);
+  thread_state().tally.add_count<Writers::kOwner>(c, n);
+  if (JobObs* job = t_job_sink) job->tally().add_count<Writers::kShared>(c, n);
+}
+
+void hist_add(Hist h, std::uint64_t ns) {
+  thread_state().tally.add_hist<Writers::kOwner>(h, ns);
+  if (JobObs* job = t_job_sink) job->tally().add_hist<Writers::kShared>(h, ns);
 }
 
 }  // namespace detail
@@ -147,89 +151,58 @@ void reset() {
   std::lock_guard<std::mutex> lock(reg.mutex);
   detail::clear_all_locked(reg);
   run_phases().clear();
-  hist_reset();
   default_live_model().reset();
   set_rank(-1);
 }
 
 const char* counter_name(Counter c) {
-  switch (c) {
-    case Counter::kNewviewCalls:
-      return "newview_calls";
-    case Counter::kEvaluateCalls:
-      return "evaluate_calls";
-    case Counter::kDerivativeCalls:
-      return "derivative_calls";
-    case Counter::kPatternsEvaluated:
-      return "patterns_evaluated";
-    case Counter::kReductionCalls:
-      return "reduction_calls";
-    case Counter::kWorkforceJobs:
-      return "workforce_jobs";
-    case Counter::kBarrierWaitNs:
-      return "barrier_wait_ns";
-    case Counter::kSpansDropped:
-      return "spans_dropped";
-    case Counter::kFaultsInjected:
-      return "faults_injected";
-    case Counter::kRankFailures:
-      return "rank_failures";
-    case Counter::kUnitsRegranted:
-      return "units_regranted";
-    case Counter::kSyntheticDelayNs:
-      return "synthetic_delay_ns";
-    case Counter::kAlignParses:
-      return "align_parses";
-    case Counter::kAlignCacheHits:
-      return "align_cache_hits";
-    case Counter::kAlignCacheMisses:
-      return "align_cache_misses";
-    case Counter::kAlignCacheEvictions:
-      return "align_cache_evictions";
-    case Counter::kServeJobsSubmitted:
-      return "serve_jobs_submitted";
-    case Counter::kServeJobsCompleted:
-      return "serve_jobs_completed";
-    case Counter::kCommBytesSent:
-      return "comm_bytes_sent";
-    case Counter::kCommBytesRecv:
-      return "comm_bytes_recv";
-    case Counter::kCommRingStalls:
-      return "comm_ring_stalls";
-    case Counter::kCommRingStallNs:
-      return "comm_ring_stall_ns";
-    case Counter::kKernelFallback:
-      return "kernel_fallbacks";
-    case Counter::kCount:
-      break;
-  }
-  return "unknown";
+  // Indexed by Counter; the export names are part of the metrics JSON.
+  static constexpr const char* kNames[] = {
+      "newview_calls", "evaluate_calls", "derivative_calls",
+      "patterns_evaluated", "reduction_calls", "workforce_jobs",
+      "barrier_wait_ns", "spans_dropped", "faults_injected", "rank_failures",
+      "units_regranted", "synthetic_delay_ns", "align_parses",
+      "align_cache_hits", "align_cache_misses", "align_cache_evictions",
+      "serve_jobs_submitted", "serve_jobs_completed", "comm_bytes_sent",
+      "comm_bytes_recv", "comm_ring_stalls", "comm_ring_stall_ns",
+      "kernel_fallbacks"};
+  static_assert(std::size(kNames) == kNumCounters);
+  const int i = static_cast<int>(c);
+  return i >= 0 && i < kNumCounters ? kNames[i] : "unknown";
 }
 
 CounterSnapshot counters_snapshot() {
   CounterSnapshot snap;
   auto& reg = detail::registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
-  for (const auto& state : reg.states)
-    for (int i = 0; i < kNumCounters; ++i)
-      snap.values[i] += state->counters[i].load(std::memory_order_relaxed);
+  for (const auto& state : reg.states) state->tally.fold_counters(snap);
   return snap;
+}
+
+HistSnapshot hist_snapshot(Hist h) {
+  HistSnapshot snap;
+  auto& reg = detail::registry();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  for (const auto& state : reg.states) state->tally.fold_hist(h, snap);
+  return snap;
+}
+
+void hist_reset() {
+  auto& reg = detail::registry();
+  std::lock_guard<std::mutex> lock(reg.mutex);
+  for (auto& state : reg.states) state->tally.clear_hists();
 }
 
 namespace {
 
 void push_span(detail::ThreadState& state, std::string name,
                std::uint64_t start_ns, std::uint64_t dur_ns) {
-  std::lock_guard<std::mutex> lock(state.trace_mutex);
-  detail::ThreadState::SpanEvent event{std::move(name), start_ns, dur_ns};
-  if (state.ring.size() < kTraceCapacity) {
-    state.ring.push_back(std::move(event));
-    return;
+  bool evicted;
+  {
+    std::lock_guard<std::mutex> lock(state.trace_mutex);
+    evicted = state.ring.push({std::move(name), start_ns, dur_ns});
   }
-  state.ring_full = true;
-  state.ring[state.ring_next] = std::move(event);
-  state.ring_next = (state.ring_next + 1) % kTraceCapacity;
-  detail::add_count(Counter::kSpansDropped, 1);
+  if (evicted) detail::add_count(Counter::kSpansDropped, 1);
 }
 
 }  // namespace
@@ -256,73 +229,44 @@ void record_phase_span(std::string name, std::uint64_t start_ns,
     job->add_span(std::move(name), start_ns, dur_ns, kJobPhaseLane);
     return;
   }
-  auto& reg = detail::registry();
-  std::shared_ptr<detail::ThreadState> track;
-  {
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    if (!reg.phase_track) {
-      reg.phase_track = std::make_shared<detail::ThreadState>();
-      reg.phase_track->tid = kPhaseTrackTid;
-    }
-    track = reg.phase_track;
-  }
-  push_span(*track, std::move(name), start_ns, dur_ns);
+  push_span(detail::registry().phase_track, std::move(name), start_ns,
+            dur_ns);
 }
 
 std::string export_trace_fragment(int my_rank) {
   const int pid = my_rank >= 0 ? my_rank : 0;
   std::string out;
   bool first = true;
-
   // Process-name metadata so Perfetto labels each rank's track group.
-  {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,"
-                  "\"args\":{\"name\":\"rank %d\"}}",
-                  pid, pid);
-    out += buf;
-    first = false;
-  }
+  detail::append_name_event(out, pid, -1, "rank " + std::to_string(pid), first);
 
   auto& reg = detail::registry();
   std::lock_guard<std::mutex> lock(reg.mutex);
   bool any_event = false;
-  const auto emit_ring = [&](detail::ThreadState& state) {
+  // The phase track also gets a thread_name metadata event ahead of its
+  // spans.
+  const auto emit_ring = [&](detail::ThreadState& state, bool named) {
     std::lock_guard<std::mutex> tlock(state.trace_mutex);
     if (state.ring.empty()) return;
     any_event = true;
-    // Chronological order: [ring_next, end) then [0, ring_next) once full.
-    const std::size_t n = state.ring.size();
-    const std::size_t begin = state.ring_full ? state.ring_next : 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto& e = state.ring[(begin + i) % n];
+    if (named) detail::append_name_event(out, pid, state.tid, "phases", first);
+    state.ring.visit([&](const detail::ThreadState::SpanEvent& e) {
       detail::append_span_event(out, e.name, e.start_ns, e.dur_ns, pid,
                                 state.tid, first);
-    }
+    });
   };
-  for (const auto& state : reg.states) emit_ring(*state);
-  if (reg.phase_track) {
-    bool has_phases;
-    {
-      std::lock_guard<std::mutex> tlock(reg.phase_track->trace_mutex);
-      has_phases = !reg.phase_track->ring.empty();
-    }
-    if (has_phases) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf),
-                    ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
-                    "\"tid\":%d,\"args\":{\"name\":\"phases\"}}",
-                    pid, kPhaseTrackTid);
-      out += buf;
-      emit_ring(*reg.phase_track);
-    }
-  }
+  for (const auto& state : reg.states) emit_ring(*state, false);
+  emit_ring(reg.phase_track, true);
   return any_event ? out : std::string();
 }
 
-std::string merge_trace_fragments(const std::vector<std::string>& fragments) {
-  std::string out = "{\"traceEvents\":[\n";
+namespace {
+
+// The non-empty fragments joined by ",\n" between `open` and `close`.
+std::string join_fragments(const char* open,
+                           const std::vector<std::string>& fragments,
+                           const char* close) {
+  std::string out = open;
   bool first = true;
   for (const auto& frag : fragments) {
     if (frag.empty()) continue;
@@ -330,8 +274,15 @@ std::string merge_trace_fragments(const std::vector<std::string>& fragments) {
     first = false;
     out += frag;
   }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
+  out += close;
   return out;
+}
+
+}  // namespace
+
+std::string merge_trace_fragments(const std::vector<std::string>& fragments) {
+  return join_fragments("{\"traceEvents\":[\n", fragments,
+                        "\n],\"displayTimeUnit\":\"ms\"}\n");
 }
 
 std::string export_metrics_fragment(int my_rank,
@@ -367,16 +318,7 @@ std::string export_metrics_fragment(int my_rank,
 }
 
 std::string merge_metrics_fragments(const std::vector<std::string>& fragments) {
-  std::string out = "[\n";
-  bool first = true;
-  for (const auto& frag : fragments) {
-    if (frag.empty()) continue;
-    if (!first) out += ",\n";
-    first = false;
-    out += frag;
-  }
-  out += "\n]\n";
-  return out;
+  return join_fragments("[\n", fragments, "\n]\n");
 }
 
 }  // namespace raxh::obs

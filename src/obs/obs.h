@@ -1,18 +1,21 @@
-// Observability core: process-wide enable flag, cache-line-padded per-thread
-// monotonic counters, and lightweight scoped span tracing with thread/rank
-// attribution.
+// Observability core: process-wide enable flag, per-thread counters and
+// latency histograms (hist.h), and lightweight scoped span tracing with
+// thread/rank attribution.
 //
 // Cost model: every instrumentation point is an inline check of one relaxed
 // atomic bool; with observability disabled nothing else happens, so hot
-// kernels pay a single predictable branch. When enabled, counters land in
-// per-thread padded blocks (relaxed atomics, owner-thread writes only — no
-// contention, no lock prefix) and spans land in a per-thread ring buffer
-// (bounded memory; oldest spans are dropped and counted).
+// kernels pay a single predictable branch. When enabled, counters and
+// histogram samples land in the thread's one tally (telemetry.h: a padded
+// block of relaxed atomics, owner-thread writes only — no contention, no
+// lock prefix) and spans land in the thread's span ring (bounded memory;
+// oldest spans are dropped and counted). A job block (metrics.h) holds the
+// same tally and ring types; snapshots are folds over tallies.
 //
 // Rank attribution: obs::set_rank() stamps this process's exported events.
 // Forked child ranks (minimpi's ProcessComm) start from a clean slate — a
-// pthread_atfork handler clears counters, spans, and phases in the child so
-// rank 0's pre-fork events are never duplicated into other ranks' exports.
+// pthread_atfork handler clears counters, histograms, spans, and phases in
+// the child so rank 0's pre-fork events are never duplicated into other
+// ranks' exports.
 #pragma once
 
 #include <atomic>
@@ -50,8 +53,9 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
-// Clears all counters, spans, and phase accumulations (tests; also run in
-// forked children via pthread_atfork). Live threads stay registered.
+// Clears all counters, histograms, spans, and phase accumulations (tests;
+// also run in forked children via pthread_atfork). Live threads stay
+// registered.
 void reset();
 
 // ---------------------------------------------------------------------------
@@ -95,9 +99,6 @@ inline constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 [[nodiscard]] const char* counter_name(Counter c);
 
 namespace detail {
-struct ThreadState;
-// This thread's state block (registered globally on first use).
-ThreadState& thread_state();
 void add_count(Counter c, std::uint64_t n);
 }  // namespace detail
 

@@ -37,6 +37,27 @@ inline void append_json_escaped(std::string& out, const std::string& s) {
   }
 }
 
+// Appends a "ph":"M" metadata event naming the process (tid < 0) or one of
+// its threads, preceded by ",\n" unless it is the fragment's first event.
+inline void append_name_event(std::string& out, int pid, int tid,
+                              const std::string& name, bool& first) {
+  if (!first) out += ",\n";
+  first = false;
+  char buf[96];
+  if (tid < 0)
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,", pid);
+  else
+    std::snprintf(buf, sizeof(buf),
+                  "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,"
+                  "\"tid\":%d,",
+                  pid, tid);
+  out += buf;
+  out += "\"args\":{\"name\":\"";
+  append_json_escaped(out, name);
+  out += "\"}}";
+}
+
 // Appends one complete ("ph":"X") span event, preceded by ",\n" unless it is
 // the fragment's first event.
 inline void append_span_event(std::string& out, const std::string& name,

@@ -188,9 +188,9 @@ TEST_F(HistTest, ThreadCommCollectivesFeedLatencyHistogram) {
     double v = comm.rank() == 0 ? 42.0 : 7.0;
     comm.allreduce_max(v);
   });
-  // 2 ranks x (1 barrier + 1 allreduce); the allreduce's internal bcast
-  // nests one more sample per rank.
-  EXPECT_GE(obs::hist_snapshot(Hist::kCollectiveNs).count, 4u);
+  // 2 ranks x (1 barrier + 1 allreduce); the bcast nested inside the
+  // allreduce books no sample of its own.
+  EXPECT_EQ(obs::hist_snapshot(Hist::kCollectiveNs).count, 4u);
 }
 
 TEST_F(HistTest, ResetClearsEverything) {

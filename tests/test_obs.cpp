@@ -11,6 +11,7 @@
 
 #include "json_validator.h"
 #include "minimpi/comm.h"
+#include "obs/hist.h"
 #include "obs/obs.h"
 #include "obs/phase.h"
 #include "parallel/workforce.h"
@@ -210,33 +211,63 @@ TEST_F(ObsTest, ComponentTableHasUnionColumnsAndSums) {
 
 TEST_F(ObsTest, ResetClearsEverything) {
   obs::count(obs::Counter::kNewviewCalls, 3);
+  obs::hist_record(obs::Hist::kCrewJobNs, 777);
   { obs::Span span("gone"); }
   obs::run_phases().add("fast", 1.0);
   obs::reset();
   EXPECT_EQ(obs::counters_snapshot()[obs::Counter::kNewviewCalls], 0u);
+  EXPECT_EQ(obs::hist_snapshot(obs::Hist::kCrewJobNs).count, 0u);
   EXPECT_EQ(obs::export_trace_fragment(0), "");
   EXPECT_EQ(obs::run_phases().total("fast"), 0.0);
 }
 
+// One thread overruns its ring: the oldest spans are evicted and counted,
+// and the export keeps the survivors oldest first.
+TEST_F(ObsTest, ThreadSpanRingEvictsOldestAndCountsDrops) {
+  const std::size_t total = obs::kTraceCapacity + 100;
+  for (std::size_t i = 0; i < total; ++i)
+    obs::record_span("s" + std::to_string(i), i, 1);
+  EXPECT_EQ(obs::counters_snapshot()[obs::Counter::kSpansDropped], 100u);
+  const std::string frag = obs::export_trace_fragment(0);
+  EXPECT_EQ(frag.find("\"s0\""), std::string::npos);
+  EXPECT_EQ(frag.find("\"s99\""), std::string::npos);
+  const std::size_t oldest = frag.find("\"s100\"");
+  const std::size_t newest =
+      frag.find("\"s" + std::to_string(total - 1) + "\"");
+  ASSERT_NE(oldest, std::string::npos);
+  ASSERT_NE(newest, std::string::npos);
+  EXPECT_LT(oldest, newest);
+  EXPECT_EQ(count_occurrences(frag, "\"ph\":\"X\""),
+            static_cast<int>(obs::kTraceCapacity));
+}
+
 // The acceptance-criteria path: forked ranks each record spans, rank 0
 // gathers and merges them into one valid trace with per-rank attribution.
-// The parent's pre-fork span must appear exactly once (the pthread_atfork
-// child handler clears inherited state in ranks 1..).
+// The parent's pre-fork span, counter increment and histogram sample must
+// appear exactly once, in rank 0's exports (the pthread_atfork child
+// handler clears inherited state in ranks 1..).
 TEST_F(ObsTest, ProcessRanksMergeToOneTrace) {
   { obs::Span span("prefork"); }
+  obs::count(obs::Counter::kNewviewCalls, 4242);
+  obs::hist_record(obs::Hist::kCrewJobNs, 777);
   std::string merged;
-  mpi::run_process_ranks(3, [&merged](mpi::Comm& comm) {
+  std::vector<std::string> metrics;
+  mpi::run_process_ranks(3, [&merged, &metrics](mpi::Comm& comm) {
     obs::set_rank(comm.rank());
     const std::string span_name = "rankspan" + std::to_string(comm.rank());
     {
       obs::Span span(span_name.c_str());
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    const std::string metrics_fragment =
+        obs::export_metrics_fragment(comm.rank());
     const auto fragments =
         comm.gather_strings(obs::export_trace_fragment(comm.rank()), 0);
+    const auto metrics_fragments = comm.gather_strings(metrics_fragment, 0);
     if (comm.rank() == 0) {
-      if (fragments.size() != 3) std::abort();
+      if (fragments.size() != 3 || metrics_fragments.size() != 3) std::abort();
       merged = obs::merge_trace_fragments(fragments);
+      metrics = metrics_fragments;
     }
   });
   EXPECT_TRUE(JsonValidator(merged).valid()) << merged;
@@ -246,6 +277,15 @@ TEST_F(ObsTest, ProcessRanksMergeToOneTrace) {
     EXPECT_GE(count_occurrences(merged, "\"pid\":" + std::to_string(r)), 1);
   }
   EXPECT_EQ(count_occurrences(merged, "prefork"), 1) << merged;
+  ASSERT_EQ(metrics.size(), 3u);
+  for (int r = 0; r < 3; ++r) {
+    const std::string& m = metrics[static_cast<std::size_t>(r)];
+    EXPECT_TRUE(JsonValidator(m).valid()) << m;
+    const int shown = r == 0 ? 1 : 0;
+    EXPECT_EQ(count_occurrences(m, "\"newview_calls\":4242"), shown) << m;
+    EXPECT_EQ(count_occurrences(m, "\"crew_job\":{\"count\":1,"), shown)
+        << m;
+  }
 }
 
 }  // namespace
