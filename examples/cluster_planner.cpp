@@ -5,6 +5,8 @@
 // efficiency >= 1/2 — against a core or against a node, §7).
 //
 //   ./cluster_planner -taxa 218 -patterns 1846 -machine Dash -cores 80 -N 100
+//
+// `cluster_planner --help` lists the flags and their defaults.
 #include <cstdio>
 #include <string>
 
@@ -12,24 +14,34 @@
 #include "simsched/sweeps.h"
 #include "util/cli.h"
 
+namespace {
+
+using raxh::Flag;
+
+constexpr Flag kFlags[] = {
+    Flag::integer("taxa", "218", 4, "taxa in the data set"),
+    Flag::integer("patterns", "1846", 1, "distinct alignment patterns"),
+    Flag::integer("cores", "80", 1, "core budget"),
+    Flag::integer("N", "100", 1, "bootstraps"),
+    Flag::choice("machine", "Abe|Dash|Ranger|Triton PDAF", "Dash",
+                 "one of the paper's machines"),
+};
+
+constexpr raxh::CliSpec kCli{"[flags]", kFlags};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace raxh;
   using namespace raxh::sim;
-  const CliParser cli(argc, argv);
+  const Cli cli = Cli::parse_or_exit(kCli, argc, argv);
 
   DataShape shape;
-  int cores = 0;
-  int bootstraps = 0;
-  try {
-    shape.taxa = static_cast<std::size_t>(cli.int_or("taxa", 218));
-    shape.patterns = static_cast<std::size_t>(cli.int_or("patterns", 1846));
-    cores = static_cast<int>(cli.int_or("cores", 80));
-    bootstraps = static_cast<int>(cli.int_or("N", 100));
-  } catch (const CliError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  const std::string machine_name = cli.value_or("machine", "Dash");
+  shape.taxa = static_cast<std::size_t>(cli.integer("taxa"));
+  shape.patterns = static_cast<std::size_t>(cli.integer("patterns"));
+  const int cores = static_cast<int>(cli.integer("cores"));
+  const int bootstraps = static_cast<int>(cli.integer("N"));
+  const std::string& machine_name = cli.text("machine");
 
   const Machine& machine = machine_by_name(machine_name);
   PerfModel model(machine, shape);

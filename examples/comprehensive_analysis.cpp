@@ -5,13 +5,8 @@
 //
 //   ./comprehensive_analysis -s data.phy -N 100 -p 12345 -x 12345 -np 4 -T 2
 //
-// Options (RAxML-compatible where meaningful):
-//   -s <file>   PHYLIP alignment (simulated demo data if omitted)
-//   -N <int>    bootstraps (default 20 for the demo)
-//   -p <seed>   parsimony seed        -x <seed>  rapid-bootstrap seed
-//   -np <int>   MPI-style process count (forked ranks, default 2)
-//   -T <int>    threads per process (default 1)
-//   -o <base>   output basename (default "comprehensive")
+// `comprehensive_analysis --help` lists the flags (RAxML's spellings) and
+// their demo defaults; without -s it simulates a 20-taxon demo alignment.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -24,32 +19,42 @@
 #include "util/cli.h"
 #include "util/timer.h"
 
+namespace {
+
+using raxh::Flag;
+
+constexpr Flag kFlags[] = {
+    Flag::text("s", nullptr, "PHYLIP alignment [a simulated demo]"),
+    Flag::integer("N", "20", 1, "bootstraps"),
+    Flag::integer("p", "12345", 1, "parsimony seed"),
+    Flag::integer("x", "12345", 1, "rapid-bootstrap seed"),
+    Flag::integer("np", "2", 1, "MPI-style process count (forked ranks)"),
+    Flag::integer("T", "1", 1, "threads per process"),
+    Flag::text("o", "comprehensive", "output basename"),
+};
+
+constexpr raxh::CliSpec kCli{"[flags]", kFlags};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace raxh;
-  const CliParser cli(argc, argv);
+  const Cli cli = Cli::parse_or_exit(kCli, argc, argv);
 
-  // Numbers first: a malformed one is a usage error before any work starts.
   HybridOptions options;
-  int processes = 0;
-  try {
-    options.analysis.specified_bootstraps =
-        static_cast<int>(cli.int_or("N", 20));
-    options.analysis.parsimony_seed = cli.int_or("p", 12345);
-    options.analysis.bootstrap_seed = cli.int_or("x", 12345);
-    options.analysis.num_threads = static_cast<int>(cli.int_or("T", 1));
-    processes = static_cast<int>(cli.int_or("np", 2));
-  } catch (const CliError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  options.analysis.specified_bootstraps = static_cast<int>(cli.integer("N"));
+  options.analysis.parsimony_seed = cli.integer("p");
+  options.analysis.bootstrap_seed = cli.integer("x");
+  options.analysis.num_threads = static_cast<int>(cli.integer("T"));
+  const int processes = static_cast<int>(cli.integer("np"));
   options.compute_support = true;
   options.run_bootstopping = true;
-  const std::string base = cli.value_or("o", "comprehensive");
+  const std::string& base = cli.text("o");
 
   Alignment alignment = [&] {
-    if (auto path = cli.value("s")) {
-      std::printf("reading %s\n", path->c_str());
-      return read_phylip_file(*path);
+    if (cli.has("s")) {
+      std::printf("reading %s\n", cli.text("s").c_str());
+      return read_phylip_file(cli.text("s"));
     }
     std::printf("no -s given; simulating a 20-taxon demo alignment\n");
     SimConfig cfg;

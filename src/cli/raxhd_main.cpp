@@ -3,25 +3,11 @@
 // them on a shared pool of thread-backed minimpi ranks, and serves results
 // bit-identical to one-shot `raxh -f a` runs with the same seeds.
 //
-//   --socket=PATH          unix-domain listener            [/tmp/raxhd.sock]
-//   --tcp-port=N           loopback TCP listener; 0 = off  [0]
-//   --jobs=N               concurrent executor slots       [4]
-//   --cache-mb=N           alignment cache budget in MiB   [64]
-//   --lookahead=N          admission pipeline depth        [2]
-//   --artifact-dir=DIR     per-job checkpoints land here, namespaced by
-//                          job id (jobs submitted with checkpoint=true)
-//   --max-ranks=N          per-job rank cap                [16]
-//   --max-threads=N        per-job threads-per-rank cap    [16]
-//   --stream-interval-ms=N STREAM event cadence            [100]
-//   --log-level=LVL        error | warn | info | debug     [info]
+// Flags: `raxhd --help` prints the table below.
 //
-// Observability (the same exposition is always available in-band via the
-// kMetrics protocol op / `raxhd_client metrics`):
-//   --metrics-http-port=N  loopback HTTP GET /metrics; 0 = off, -1 =
-//                          ephemeral (port is logged)              [0]
-//   --trace-out=FILE       at shutdown, write one merged Chrome trace with
-//                          every job's lifecycle + rank/crew spans
-//   --metrics-out=FILE     at shutdown, write a final Prometheus scrape
+// Observability: the same exposition is always available in-band via the
+// kMetrics protocol op / `raxhd_client metrics`, and over loopback HTTP with
+// --metrics-http-port; --trace-out and --metrics-out are written at shutdown.
 // All output paths are probed at startup and the daemon refuses to start if
 // one is unwritable — a week of uptime must not end in silent data loss.
 //
@@ -30,11 +16,9 @@
 // connections, unlinks the socket, and exits 0.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <string>
-#include <utility>
 
 #include "obs/obs.h"
 #include "serve/server.h"
@@ -54,100 +38,62 @@ void on_signal(int) {
   if (g_server != nullptr) g_server->request_shutdown();
 }
 
-void usage(const char* prog) {
-  std::printf(
-      "usage: %s [--socket=PATH] [--tcp-port=N] [--jobs=N] [--cache-mb=N]\n"
-      "          [--lookahead=N] [--artifact-dir=DIR] [--max-ranks=N]\n"
-      "          [--max-threads=N] [--stream-interval-ms=N]\n"
-      "          [--metrics-http-port=N] [--trace-out=FILE]\n"
-      "          [--metrics-out=FILE]\n"
-      "          [--log-level=error|warn|info|debug]\n"
-      "Long-lived analysis daemon; submit jobs with raxhd_client.\n",
-      prog);
-}
+constexpr Flag kFlags[] = {
+    Flag::text("socket", "/tmp/raxhd.sock", "unix-domain listener path"),
+    Flag::integer("tcp-port", "0", -1, "loopback TCP port; 0 off, -1 any"),
+    Flag::integer("jobs", "4", 1, "concurrent executor slots"),
+    Flag::integer("cache-mb", "64", 0, "alignment cache budget in MiB"),
+    Flag::integer("lookahead", "2", 1, "admission pipeline depth"),
+    Flag::text("artifact-dir", nullptr, "per-job checkpoint directory"),
+    Flag::integer("max-ranks", "16", 1, "per-job rank cap"),
+    Flag::integer("max-threads", "16", 1, "per-job threads-per-rank cap"),
+    Flag::integer("stream-interval-ms", "100", 1, "STREAM event cadence"),
+    Flag::choice("log-level", "error|warn|info|debug", "info", "log level"),
+    Flag::integer("metrics-http-port", "0", -1, "GET /metrics; 0 off, -1 any"),
+    Flag::text("trace-out", nullptr, "Chrome trace of every job, at exit"),
+    Flag::text("metrics-out", nullptr, "final Prometheus scrape, at exit"),
+};
+
+constexpr CliSpec kCli{
+    "[flags]", kFlags, false,
+    "Long-lived analysis daemon; submit jobs with raxhd_client.\n"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliParser cli(argc, argv);
-  if (cli.has("h") || cli.has("-help")) {
-    usage(argv[0]);
-    return 0;
-  }
-
-  {
-    const std::string lvl = cli.value_or("-log-level", "");
-    if (!lvl.empty()) {
-      const auto parsed = parse_log_level(lvl);
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "error: --log-level=%s: expected error, warn, info, or "
-                     "debug\n",
-                     lvl.c_str());
-        return 2;
-      }
-      Logger::instance().set_level(*parsed);
-    }
-  }
+  const Cli cli = Cli::parse_or_exit(kCli, argc, argv);
+  Logger::instance().set_level(*parse_log_level(cli.text("log-level")));
 
   serve::ServerOptions options;
-  options.socket_path = cli.value_or("-socket", "/tmp/raxhd.sock");
-  try {
-    options.tcp_port = static_cast<int>(cli.int_or("-tcp-port", 0));
-    options.stream_interval_ms =
-        static_cast<int>(cli.int_or("-stream-interval-ms", 100));
-    options.service.max_concurrent_jobs =
-        static_cast<int>(cli.int_or("-jobs", 4));
-    options.service.cache_bytes =
-        static_cast<std::size_t>(cli.int_or("-cache-mb", 64)) << 20;
-    options.service.admission_lookahead =
-        static_cast<int>(cli.int_or("-lookahead", 2));
-    options.service.max_ranks_per_job =
-        static_cast<int>(cli.int_or("-max-ranks", 16));
-    options.service.max_threads_per_rank =
-        static_cast<int>(cli.int_or("-max-threads", 16));
-    options.metrics_http_port =
-        static_cast<int>(cli.int_or("-metrics-http-port", 0));
-  } catch (const CliError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  options.service.artifact_dir = cli.value_or("-artifact-dir", "");
-  const std::string trace_out = cli.value_or("-trace-out", "");
-  const std::string metrics_out = cli.value_or("-metrics-out", "");
-
-  if (options.service.max_concurrent_jobs < 1 ||
-      options.service.admission_lookahead < 1 ||
-      options.stream_interval_ms < 1) {
-    std::fprintf(stderr,
-                 "error: --jobs, --lookahead, and --stream-interval-ms must "
-                 "be positive\n");
-    return 2;
-  }
+  options.socket_path = cli.text("socket");
+  options.tcp_port = static_cast<int>(cli.integer("tcp-port"));
+  options.stream_interval_ms =
+      static_cast<int>(cli.integer("stream-interval-ms"));
+  options.service.max_concurrent_jobs = static_cast<int>(cli.integer("jobs"));
+  options.service.cache_bytes =
+      static_cast<std::size_t>(cli.integer("cache-mb")) << 20;
+  options.service.admission_lookahead =
+      static_cast<int>(cli.integer("lookahead"));
+  options.service.max_ranks_per_job =
+      static_cast<int>(cli.integer("max-ranks"));
+  options.service.max_threads_per_rank =
+      static_cast<int>(cli.integer("max-threads"));
+  options.metrics_http_port =
+      static_cast<int>(cli.integer("metrics-http-port"));
+  options.service.artifact_dir = cli.text("artifact-dir");
+  const std::string& trace_out = cli.text("trace-out");
+  const std::string& metrics_out = cli.text("metrics-out");
 
   // Fail fast on unwritable output locations — the one-shot CLI has probed
   // its telemetry paths since day one; a daemon with a week of uptime has
   // even more to lose at shutdown.
-  {
-    const std::pair<const char*, const std::string*> files[] = {
-        {"--trace-out", &trace_out}, {"--metrics-out", &metrics_out}};
-    for (const auto& [flag, path] : files) {
-      if (path->empty()) continue;
-      if (!file_path_writable(*path)) {
-        std::fprintf(stderr, "error: %s=%s: directory is not writable\n",
-                     flag, path->c_str());
-        return 2;
-      }
-    }
-    if (!options.service.artifact_dir.empty() &&
-        !dir_accepts_files(options.service.artifact_dir)) {
-      std::fprintf(stderr,
-                   "error: --artifact-dir=%s: cannot create or write the "
-                   "artifact directory\n",
-                   options.service.artifact_dir.c_str());
-      return 2;
-    }
-  }
+  for (const std::string flag : {"trace-out", "metrics-out"})
+    if (cli.has(flag) && !file_path_writable(cli.text(flag)))
+      cli.fail("--" + flag + "=" + cli.text(flag) +
+               ": directory is not writable");
+  if (cli.has("artifact-dir") && !dir_accepts_files(cli.text("artifact-dir")))
+    cli.fail("--artifact-dir=" + cli.text("artifact-dir") +
+             ": cannot create or write the artifact directory");
 
   // The cache hit/miss and job counters are the daemon's service-level
   // telemetry; they cost nothing measurable, so they are always on here.

@@ -52,9 +52,23 @@ class CliSmoke : public ::testing::Test {
   int run(const std::string& args) const { return run_binary(binary_, args); }
 
   int run_binary(const fs::path& binary, const std::string& args) const {
-    const std::string cmd = binary.string() + " " + args + " >" +
-                            (work_ / "stdout.txt").string() + " 2>&1";
+    return run_command(binary.string() + " " + args);
+  }
+
+  int run_command(const std::string& command) const {
+    const std::string cmd =
+        command + " >" + (work_ / "stdout.txt").string() + " 2>&1";
     return std::system(cmd.c_str());
+  }
+
+  // Runs `command` and expects exit status 2 with `names` in its output.
+  void expect_usage_error(const std::string& command,
+                          const std::string& names) const {
+    const int status = run_command(command);
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command << ": " << output();
+    EXPECT_NE(output().find(names), std::string::npos)
+        << command << ": " << output();
   }
 
   std::string output() const {
@@ -260,6 +274,65 @@ TEST_F(CliSmoke, ComprehensiveExampleMalformedNumberExitsTwo) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2) << output();
   EXPECT_NE(output().find("-N=abc"), std::string::npos) << output();
+}
+
+// Each binary checks its argv against its flag table: an undeclared flag (a
+// glued "-T2" included), a stray positional or an undeclared choice exits 2
+// naming it, and both spellings of a declared flag reach the same row.
+TEST_F(CliSmoke, UnknownFlagExitsTwo) {
+  const std::string eval = binary_.string() + " -s " + alignment_ +
+                           " -f e -t " + true_tree_ + " -n " +
+                           (work_ / "unknown").string();
+  expect_usage_error(eval + " -T2", "unknown flag -T2");
+  expect_usage_error(eval + " --trace-outt=x", "unknown flag --trace-outt");
+  expect_usage_error(eval + " stray", "unexpected argument 'stray'");
+  // -m is read only by -f e; --blackbox only knows on and off.
+  expect_usage_error(eval + " -m GTRCATT", "-m=GTRCATT");
+  expect_usage_error(eval + " --blackbox=of", "--blackbox=of");
+
+  const std::string none = " --socket=" + (work_ / "none.sock").string();
+  const std::pair<const char*, std::string> tools[] = {
+      {"../src/cli/raxhd", none},
+      {"../tools/raxh_top", none},
+      {"../tools/raxhd_client", "list" + none},
+      {"../tools/raxh_make_alignment", "-o " + (work_ / "x.phy").string()},
+      {"../tools/raxh_blackbox", work_.string()},
+      {"../tools/raxh_comm", "--metrics=" + (work_ / "m.json").string()},
+      {"../examples/comprehensive_analysis", "-N 2 -np 1"},
+      {"../examples/cluster_planner", ""},
+  };
+  for (const auto& [path, args] : tools) {
+    const fs::path tool = fs::absolute(path);
+    if (!fs::exists(tool)) continue;
+    // A daemon that ignored the flag would keep running: bound it.
+    expect_usage_error("timeout 60 " + tool.string() + " " + args +
+                           " --no-such-flag",
+                       "unknown flag --no-such-flag");
+  }
+
+  for (const char* spelling : {"-trace-out", "--trace-out"}) {
+    const fs::path trace = work_ / (std::string(spelling) + ".json");
+    ASSERT_EQ(run_command(eval + " " + spelling + "=" + trace.string()), 0)
+        << output();
+    EXPECT_TRUE(fs::exists(trace)) << spelling;
+    EXPECT_NE(output().find("spans dropped"), std::string::npos) << output();
+  }
+}
+
+// A count below its row's minimum is a usage error that names the flag, not
+// an abort: no analysis starts and no crash black box is written.
+TEST_F(CliSmoke, OutOfRangeCountExitsTwo) {
+  const fs::path base = work_ / "range";
+  fs::remove_all(base.string() + "_blackbox");  // left by an earlier run
+  for (const auto& [args, names] :
+       {std::pair<const char*, const char*>{"-T 0", "-T=0"},
+        {"-np 0", "-np=0"},
+        {"-N -3", "-N=-3"}}) {
+    expect_usage_error(binary_.string() + " -s " + alignment_ + " -f a -n " +
+                           base.string() + " " + args,
+                       names);
+    EXPECT_FALSE(fs::exists(base.string() + "_blackbox")) << args;
+  }
 }
 
 }  // namespace

@@ -4,9 +4,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <random>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "cli/raxh_flags.h"
+#include "raxh_blackbox_flags.h"
+#include "raxhd_client_flags.h"
 #include "util/cli.h"
 #include "util/log.h"
 #include "util/math_ext.h"
@@ -197,69 +203,216 @@ TEST(MathExt, LogSumExp) {
   EXPECT_DOUBLE_EQ(log_sum_exp(single), 3.5);
 }
 
+// One row of every kind, for the parser's own tests.
+constexpr Flag kTestFlags[] = {
+    Flag::text("m", nullptr, "model"),
+    Flag::choice("f", "a|d|e", "a", "mode"),
+    Flag::integer("N", "10", 1, "count"),
+    Flag::integer("p", "12345", kNoMinimum, "seed"),
+    Flag::integer("T", "1", 1, "threads"),
+    Flag::real("offset", "0", "offset"),
+    Flag::real("straggler-factor", "2.0", "factor"),
+    Flag::real("scale", "1", "scale"),
+    Flag::text("trace-out", nullptr, "trace"),
+    Flag::toggle("report-components", "report"),
+    Flag::text("plan", nullptr, "plan", "RAXH_TEST_CLI_PLAN"),
+    Flag::removed("repeats", "site repeats were retired"),
+};
+constexpr CliSpec kTestCli{"[flags]", kTestFlags};
+constexpr CliSpec kTestCliWithPositionals{"[flags] FILE...", kTestFlags,
+                                          true};
+
+// what() of the CliError that parsing `args` throws; "" if it parses.
+std::string cli_error(const CliSpec& spec, std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  try {
+    Cli cli(spec, static_cast<int>(args.size()), args.data());
+  } catch (const CliError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Cli, ParsesRaxmlStyleOptions) {
   const char* argv[] = {"raxh", "-m", "GTRCAT", "-N", "100", "-p",
-                        "12345", "-x", "12345", "-f", "a", "-T", "8"};
-  CliParser cli(static_cast<int>(std::size(argv)), argv);
-  EXPECT_EQ(cli.value_or("m", ""), "GTRCAT");
-  EXPECT_EQ(cli.int_or("N", 0), 100);
-  EXPECT_EQ(cli.int_or("p", 0), 12345);
-  EXPECT_EQ(cli.value_or("f", ""), "a");
-  EXPECT_EQ(cli.int_or("T", 1), 8);
-  EXPECT_FALSE(cli.has("z"));
-  EXPECT_EQ(cli.int_or("z", 7), 7);
+                        "12345", "-f", "e", "-T", "8"};
+  Cli cli(kTestCli, static_cast<int>(std::size(argv)), argv);
+  EXPECT_EQ(cli.text("m"), "GTRCAT");
+  EXPECT_EQ(cli.integer("N"), 100);
+  EXPECT_EQ(cli.integer("p"), 12345);
+  EXPECT_EQ(cli.text("f"), "e");
+  EXPECT_EQ(cli.integer("T"), 8);
+  // An absent row reads its default, and has() tells it apart.
+  EXPECT_FALSE(cli.has("scale"));
+  EXPECT_EQ(cli.real("scale"), 1.0);
+  EXPECT_EQ(cli.text("trace-out"), "");
 }
 
 TEST(Cli, NegativeNumbersAreValuesNotFlags) {
   const char* argv[] = {"prog", "-offset", "-3.5"};
-  CliParser cli(3, argv);
-  EXPECT_DOUBLE_EQ(cli.double_or("offset", 0.0), -3.5);
+  Cli cli(kTestCli, 3, argv);
+  EXPECT_DOUBLE_EQ(cli.real("offset"), -3.5);
 }
 
 TEST(Cli, PositionalArguments) {
   const char* argv[] = {"prog", "input.phy", "-T", "4", "out.tre"};
-  CliParser cli(5, argv);
+  Cli cli(kTestCliWithPositionals, 5, argv);
   ASSERT_EQ(cli.positional().size(), 2u);
   EXPECT_EQ(cli.positional()[0], "input.phy");
   EXPECT_EQ(cli.positional()[1], "out.tre");
+  EXPECT_EQ(cli.integer("T"), 4);
 }
 
 TEST(Cli, GnuStyleEqualsValues) {
   const char* argv[] = {"raxh", "--trace-out=run.json", "-N=50",
                         "--report-components", "-T", "4"};
-  CliParser cli(static_cast<int>(std::size(argv)), argv);
-  EXPECT_EQ(cli.value_or("-trace-out", ""), "run.json");
-  EXPECT_EQ(cli.int_or("N", 0), 50);
-  EXPECT_TRUE(cli.has("-report-components"));
-  EXPECT_EQ(cli.int_or("T", 1), 4);  // plain space-separated form still works
+  Cli cli(kTestCli, static_cast<int>(std::size(argv)), argv);
+  EXPECT_EQ(cli.text("trace-out"), "run.json");
+  EXPECT_EQ(cli.integer("N"), 50);
+  EXPECT_TRUE(cli.has("report-components"));
+  EXPECT_EQ(cli.integer("T"), 4);  // plain space-separated form still works
 }
 
 TEST(Cli, MalformedNumbersThrowNamingFlagAndValue) {
-  const char* argv[] = {"raxh", "-N", "abc", "-T", "4x",
-                        "--straggler-factor=x", "-p",
-                        "99999999999999999999", "--scale=1e999"};
-  CliParser cli(static_cast<int>(std::size(argv)), argv);
-  const auto message = [&](auto read) -> std::string {
-    try {
-      read();
-    } catch (const CliError& e) {
-      return e.what();
-    }
-    return "";
-  };
   // Nothing parses.
-  EXPECT_EQ(message([&] { return cli.int_or("N", 0); }),
-            "-N=abc: expected an integer");
+  EXPECT_EQ(cli_error(kTestCli, {"-N", "abc"}), "-N=abc: expected an integer");
   // Trailing garbage after a valid prefix.
-  EXPECT_EQ(message([&] { return cli.int_or("T", 1); }),
-            "-T=4x: expected an integer");
-  EXPECT_EQ(message([&] { return cli.double_or("-straggler-factor", 2.0); }),
+  EXPECT_EQ(cli_error(kTestCli, {"-T", "4x"}), "-T=4x: expected an integer");
+  EXPECT_EQ(cli_error(kTestCli, {"--straggler-factor=x"}),
             "--straggler-factor=x: expected a number");
   // ERANGE.
-  EXPECT_EQ(message([&] { return cli.int_or("p", 0); }),
+  EXPECT_EQ(cli_error(kTestCli, {"-p", "99999999999999999999"}),
             "-p=99999999999999999999: out of range");
-  EXPECT_EQ(message([&] { return cli.double_or("-scale", 1.0); }),
+  EXPECT_EQ(cli_error(kTestCli, {"--scale=1e999"}),
             "--scale=1e999: out of range");
+}
+
+// Everything the table does not admit is one CliError naming the flag.
+TEST(Cli, UndeclaredInputThrows) {
+  EXPECT_EQ(cli_error(kTestCli, {"-z"}), "unknown flag -z");
+  EXPECT_EQ(cli_error(kTestCli, {"-T2"}), "unknown flag -T2");
+  EXPECT_EQ(cli_error(kTestCli, {"--trace-outt=x"}),
+            "unknown flag --trace-outt");
+  EXPECT_EQ(cli_error(kTestCli, {"--repeats"}),
+            "--repeats was removed; site repeats were retired");
+  EXPECT_EQ(cli_error(kTestCli, {"-T", "0"}), "-T=0: below the minimum 1");
+  EXPECT_EQ(cli_error(kTestCli, {"-f", "z"}), "-f=z: expected one of a|d|e");
+  EXPECT_EQ(cli_error(kTestCli, {"--report-components=1"}),
+            "--report-components takes no value");
+  EXPECT_EQ(cli_error(kTestCli, {"-m"}), "-m: expected a value");
+  EXPECT_EQ(cli_error(kTestCli, {"-m", ""}), "-m: expected a value");
+  EXPECT_EQ(cli_error(kTestCli, {"stray"}), "unexpected argument 'stray'");
+  EXPECT_EQ(cli_error(kTestCli, {"--scale=nan"}),
+            "--scale=nan: expected a number");
+  // A switch never takes the next token as its value.
+  EXPECT_EQ(cli_error(kTestCli, {"--report-components", "x"}),
+            "unexpected argument 'x'");
+  EXPECT_EQ(cli_error(kTestCliWithPositionals, {"--report-components", "x"}),
+            "");
+  // -name and --name are the same row.
+  EXPECT_EQ(cli_error(kTestCli, {"--T", "2", "-trace-out=t.json"}), "");
+}
+
+TEST(Cli, EnvironmentSuppliesTheDefault) {
+  const char* argv[] = {"prog"};
+  ASSERT_EQ(setenv("RAXH_TEST_CLI_PLAN", "die@1,2", 1), 0);
+  EXPECT_EQ(cli_error(kTestCli, {}), "");
+  {
+    const Cli cli(kTestCli, 1, argv);
+    EXPECT_TRUE(cli.has("plan"));
+    EXPECT_EQ(cli.text("plan"), "die@1,2");
+  }
+  // The command line wins over the environment.
+  const char* flagged[] = {"prog", "--plan=drop@0,1"};
+  {
+    const Cli cli(kTestCli, 2, flagged);
+    EXPECT_EQ(cli.text("plan"), "drop@0,1");
+  }
+  unsetenv("RAXH_TEST_CLI_PLAN");
+  const Cli cli(kTestCli, 1, argv);
+  EXPECT_FALSE(cli.has("plan"));
+}
+
+TEST(Cli, UsageListsEveryRow) {
+  const char* argv[] = {"prog", "--help"};
+  const Cli cli(kTestCli, 2, argv);
+  EXPECT_TRUE(cli.help());
+  const std::string usage = cli.usage();
+  for (const char* line :
+       {"  -m VALUE ", "  -f a|d|e ", "[default a]", "  -N N ", "[min 1]",
+        "  --offset=X ", "  --report-components ", "  --repeats ",
+        "removed: site repeats were retired", "[env RAXH_TEST_CLI_PLAN]",
+        "  -h, --help "})
+    EXPECT_NE(usage.find(line), std::string::npos) << line << "\n" << usage;
+}
+
+// Seeded mutation fuzz of the parser, in the style of the checkpoint and
+// black-box bit-flip matrices: valid argvs of three real binaries with
+// tokens dropped, duplicated, truncated and bit-flipped. Every result must
+// parse or throw CliError, and a parsed command line must answer for every
+// row of its table.
+TEST(Cli, SeededMutationFuzz) {
+  struct Case {
+    const CliSpec* spec;
+    std::vector<std::string> argv;
+  };
+  const Case cases[] = {
+      {&kRaxhCli,
+       {"raxh", "-s", "a.phy", "-f", "a", "-N", "8", "-np", "2", "-T", "2",
+        "-n", "x", "-p", "7", "-x", "9", "--trace-out=t.json",
+        "--metrics-out", "m.json", "--report-components", "--kernels=scalar",
+        "--blackbox=off", "--straggler-factor=1.5", "--fault-plan=die@1,5",
+        "--log-level", "warn", "-m", "GTRCAT"}},
+      {&kRaxhdClientCli,
+       {"raxhd_client", "submit", "-s", "a.phy", "-n", "j", "-N", "8", "-np",
+        "2", "-T", "2", "-tenant", "ci", "--priority=-3", "--checkpoint",
+        "--wait", "--socket=/tmp/x.sock", "-m", "GTRGAMMA"}},
+      {&kRaxhBlackboxCli,
+       {"raxh_blackbox", "--report=timeline", "--last", "80", "boxes/",
+        "rank0.blackbox"}},
+  };
+  std::mt19937_64 rng(20261019);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  int parsed = 0, rejected = 0;
+  for (const Case& c : cases) {
+    for (int trial = 0; trial < 1500; ++trial) {
+      std::vector<std::string> args = c.argv;
+      for (std::size_t m = 1 + pick(3); m > 0 && args.size() > 1; --m) {
+        const std::size_t i = 1 + pick(args.size() - 1);
+        switch (pick(4)) {
+          case 0: args.erase(args.begin() + static_cast<long>(i)); break;
+          case 1: {
+            const std::string copy = args[i];
+            args.insert(args.begin() + static_cast<long>(1 + pick(args.size())),
+                        copy);
+            break;
+          }
+          case 2: args[i].resize(pick(args[i].size() + 1)); break;
+          default:
+            if (!args[i].empty())
+              args[i][pick(args[i].size())] ^=
+                  static_cast<char>(1 << pick(8));
+        }
+      }
+      std::vector<const char*> argv;
+      for (const std::string& a : args) argv.push_back(a.c_str());
+      try {
+        const Cli cli(*c.spec, static_cast<int>(argv.size()), argv.data());
+        for (const Flag& flag : c.spec->flags) {
+          (void)cli.has(flag.name);
+          (void)cli.text(flag.name);
+        }
+        ++parsed;
+      } catch (const CliError&) {
+        ++rejected;
+      }
+    }
+  }
+  EXPECT_EQ(parsed + rejected, 4500);
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(LogPrefix, BareFormatWhenRankAndThreadUnset) {

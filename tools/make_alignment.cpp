@@ -2,15 +2,15 @@
 // tree) for smoke tests and benchmarks, so CI jobs and local runs don't
 // have to compile ad-hoc snippets against the libraries.
 //
-//   raxh_make_alignment -o data.phy [-taxa N] [-distinct N] [-sites N]
-//                       [-seed S] [-tree true.tre] [-mean-branch B]
+//   raxh_make_alignment -o data.phy -taxa 12 -seed 42 -tree true.tre
 //
 // -mean-branch scales the generating tree's branch lengths (default 0.12
 // expected substitutions/site). Small values (~0.02) produce low-divergence,
 // duplicate-heavy alignments — columns that agree within whole subtrees —
 // whose heavy constant patterns stress the crew's pattern split.
 //
-// A malformed or out-of-range number exits 2 before anything is written.
+// `raxh_make_alignment --help` prints the flags. A malformed or
+// out-of-range number exits 2 before anything is written.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -19,59 +19,47 @@
 #include "bio/seqsim.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
-  raxh::CliParser cli(argc, argv);
-  const std::string out = cli.value_or("o", "");
-  if (out.empty()) {
-    std::fprintf(stderr,
-                 "usage: %s -o out.phy [-taxa N] [-distinct N] [-sites N] "
-                 "[-seed S] [-tree out.tre] [-mean-branch B]\n",
-                 argv[0]);
-    return 2;
-  }
+namespace {
 
-  long long taxa = 0, distinct = 0, sites = 0, seed = 0;
-  double mean_branch = 0.0;
-  try {
-    taxa = cli.int_or("taxa", 12);
-    distinct = cli.int_or("distinct", 400);
-    sites = cli.int_or("sites", 600);
-    seed = cli.int_or("seed", 42);
-    mean_branch = cli.double_or("mean-branch", 0.12);
-  } catch (const raxh::CliError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  // The simulator's own preconditions, checked here so that a bad value is
-  // a usage error rather than an abort.
-  const char* bad = nullptr;
-  if (taxa < 3)
-    bad = "-taxa must be >= 3";
-  else if (distinct < 1)
-    bad = "-distinct must be >= 1";
-  else if (sites < distinct)
-    bad = "-sites must be >= -distinct";
-  else if (seed < 0)
-    bad = "-seed must be >= 0";
-  else if (!(mean_branch > 0.0))
-    bad = "-mean-branch must be > 0";
-  if (bad != nullptr) {
-    std::fprintf(stderr, "error: %s\n", bad);
-    return 2;
-  }
+using raxh::Flag;
+
+constexpr Flag kFlags[] = {
+    Flag::text("o", nullptr, "output PHYLIP file (required)"),
+    Flag::integer("taxa", "12", 3, "taxa"),
+    Flag::integer("distinct", "400", 1, "distinct site columns"),
+    Flag::integer("sites", "600", 1, "total sites (>= -distinct)"),
+    Flag::integer("seed", "42", 0, "simulation seed"),
+    Flag::text("tree", nullptr, "also write the generating tree here"),
+    Flag::real("mean-branch", "0.12", "mean branch length (> 0)"),
+};
+
+constexpr raxh::CliSpec kCli{"-o FILE [flags]", kFlags};
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const raxh::Cli cli = raxh::Cli::parse_or_exit(kCli, argc, argv);
+  if (!cli.has("o")) cli.fail("-o <out.phy> is required");
+  const long long distinct = cli.integer("distinct");
+  const long long sites = cli.integer("sites");
+  const double mean_branch = cli.real("mean-branch");
+  // The simulator's preconditions the table cannot state, checked here so
+  // that a bad value is a usage error rather than an abort.
+  if (sites < distinct) cli.fail("-sites must be >= -distinct");
+  if (!(mean_branch > 0.0)) cli.fail("-mean-branch must be > 0");
 
   raxh::SimConfig cfg;
-  cfg.taxa = static_cast<std::size_t>(taxa);
+  cfg.taxa = static_cast<std::size_t>(cli.integer("taxa"));
   cfg.distinct_sites = static_cast<std::size_t>(distinct);
   cfg.total_sites = static_cast<std::size_t>(sites);
-  cfg.seed = static_cast<std::uint64_t>(seed);
+  cfg.seed = static_cast<std::uint64_t>(cli.integer("seed"));
   cfg.mean_branch_length = mean_branch;
 
   const auto sim = raxh::simulate_alignment(cfg);
+  const std::string& out = cli.text("o");
   raxh::write_phylip_file(out, sim.alignment);
-
-  const std::string tree_out = cli.value_or("tree", "");
-  if (!tree_out.empty()) std::ofstream(tree_out) << sim.true_tree_newick << '\n';
+  if (cli.has("tree"))
+    std::ofstream(cli.text("tree")) << sim.true_tree_newick << '\n';
 
   std::printf("wrote %s: %zu taxa, %zu sites (%zu distinct), seed %llu\n",
               out.c_str(), cfg.taxa, cfg.total_sites, cfg.distinct_sites,

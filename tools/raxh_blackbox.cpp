@@ -1,82 +1,29 @@
 // raxh_blackbox — offline analyzer for flight-recorder black boxes.
 //
-// usage: raxh_blackbox [--report=all|postmortem|timeline|barriers|
-//                        critical-path|edges] [--last=N] <dir-or-file>...
-//
-// Each argument is either a DIR/rank<r>.blackbox file or a directory of
-// them (every *.blackbox inside is decoded). All decoded boxes are merged
-// into one cross-rank timeline (monotonic-clock offsets estimated from
-// matched barrier exits) and rendered as:
-//   postmortem     dead ranks and their last completed comm ops
-//   timeline       the last N merged events (default 40)
-//   barriers       barrier-wait attribution per analysis stage
-//   critical-path  per-stage, per-rank phase seconds + the critical path
-//   edges          per-edge collective hop latency + slowest instances
+// `raxh_blackbox --help` prints the flags and reports. Each argument is
+// either a DIR/rank<r>.blackbox file or a directory of them (every *.blackbox
+// inside is decoded). All decoded boxes are merged into one cross-rank
+// timeline (monotonic-clock offsets estimated from matched barrier exits)
+// and rendered as the chosen reports.
 //
 // Corrupt or truncated boxes are rejected with a diagnostic on stderr and
 // skipped; the exit status is nonzero when nothing could be decoded.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "obs/flight.h"
 #include "obs/postmortem.h"
-
-namespace {
-
-using namespace raxh;
-
-void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s [--report=all|postmortem|timeline|barriers|"
-               "critical-path|edges] [--last=N] <dir-or-file>...\n",
-               prog);
-}
-
-}  // namespace
+#include "raxh_blackbox_flags.h"
 
 int main(int argc, char** argv) {
-  std::string report = "all";
-  std::size_t last_n = 40;
-  std::vector<std::string> inputs;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--report=", 0) == 0) {
-      report = arg.substr(std::strlen("--report="));
-      if (report != "all" && report != "postmortem" && report != "timeline" &&
-          report != "barriers" && report != "critical-path" &&
-          report != "edges") {
-        std::fprintf(stderr, "error: unknown report '%s'\n", report.c_str());
-        usage(argv[0]);
-        return 2;
-      }
-    } else if (arg.rfind("--last=", 0) == 0) {
-      char* end = nullptr;
-      const long n = std::strtol(arg.c_str() + std::strlen("--last="), &end, 10);
-      if (end == nullptr || *end != '\0' || n <= 0) {
-        std::fprintf(stderr, "error: bad --last value in '%s'\n", arg.c_str());
-        return 2;
-      }
-      last_n = static_cast<std::size_t>(n);
-    } else if (arg == "-h" || arg == "--help") {
-      usage(argv[0]);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
-    } else {
-      inputs.push_back(arg);
-    }
-  }
-  if (inputs.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  using namespace raxh;
+  const Cli cli = Cli::parse_or_exit(kRaxhBlackboxCli, argc, argv);
+  const std::vector<std::string>& inputs = cli.positional();
+  if (inputs.empty()) cli.fail("no black box file or directory given");
+  const std::string& report = cli.text("report");
+  const auto last_n = static_cast<std::size_t>(cli.integer("last"));
 
   std::vector<obs::flight::Blackbox> boxes;
   std::vector<std::string> errors;

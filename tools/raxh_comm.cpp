@@ -1,7 +1,7 @@
 // raxh_comm — offline analyzer for the comm-plane sections of a merged
 // --metrics-out report.
 //
-//   raxh_comm --metrics=FILE [--blackbox-dir=DIR] [--top=N]
+//   raxh_comm --metrics=FILE     (`raxh_comm --help` lists the flags)
 //
 // FILE is the JSON array the one-shot CLI writes with --metrics-out (one
 // fragment per rank). The tool reconciles every rank's per-edge comm matrix
@@ -17,8 +17,6 @@
 // and the per-edge collective hop report (kCollEdge events) is appended:
 // the complementary, per-instance view of the same edges.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,51 +24,28 @@
 
 #include "obs/comm_obs.h"
 #include "obs/postmortem.h"
+#include "util/cli.h"
 
 namespace {
 
 using namespace raxh;
 
-void usage(const char* prog) {
-  std::fprintf(stderr,
-               "usage: %s --metrics=FILE [--blackbox-dir=DIR] [--top=N]\n",
-               prog);
-}
+constexpr Flag kFlags[] = {
+    Flag::text("metrics", nullptr, "merged --metrics-out report (required)"),
+    Flag::text("blackbox-dir", nullptr, "also report these boxes' edges"),
+    Flag::integer("top", "10", 1, "rows in the hot-edge tables"),
+};
+
+constexpr CliSpec kCli{"--metrics=FILE [flags]", kFlags};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string metrics_path;
-  std::string blackbox_dir;
-  int top_k = 10;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--metrics=", 0) == 0) {
-      metrics_path = arg.substr(std::strlen("--metrics="));
-    } else if (arg.rfind("--blackbox-dir=", 0) == 0) {
-      blackbox_dir = arg.substr(std::strlen("--blackbox-dir="));
-    } else if (arg.rfind("--top=", 0) == 0) {
-      char* end = nullptr;
-      const long n = std::strtol(arg.c_str() + std::strlen("--top="), &end, 10);
-      if (end == nullptr || *end != '\0' || n <= 0) {
-        std::fprintf(stderr, "error: bad --top value in '%s'\n", arg.c_str());
-        return 2;
-      }
-      top_k = static_cast<int>(n);
-    } else if (arg == "-h" || arg == "--help") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
-    }
-  }
-  if (metrics_path.empty()) {
-    usage(argv[0]);
-    return 2;
-  }
+  const Cli cli = Cli::parse_or_exit(kCli, argc, argv);
+  if (!cli.has("metrics")) cli.fail("--metrics=FILE is required");
+  const std::string& metrics_path = cli.text("metrics");
+  const std::string& blackbox_dir = cli.text("blackbox-dir");
+  const int top_k = static_cast<int>(cli.integer("top"));
 
   std::ifstream in(metrics_path, std::ios::binary);
   if (!in) {

@@ -1,7 +1,5 @@
 // raxh_top — a live, top(1)-style view of a running raxhd daemon.
 //
-//   raxh_top [--socket=PATH|host:port] [--interval-ms=N] [--once]
-//
 // Each tick issues one LIST and one METRICS request over the job socket and
 // repaints: a header of service gauges (slots, queue depth, cache hit rate,
 // attributed event rate), then one row per job with a progress bar. Plain
@@ -9,8 +7,8 @@
 // with no curses dependency. `--once` prints a single frame without
 // clearing (scriptable; CI smoke uses it).
 //
-// The daemon address comes from --socket, $RAXHD_SOCKET, or /tmp/raxhd.sock
-// — the same resolution raxhd_client uses.
+// `raxh_top --help` prints the flags; the daemon address resolves as in
+// raxhd_client (--socket, else $RAXHD_SOCKET, else /tmp/raxhd.sock).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -27,12 +25,16 @@ namespace {
 
 using namespace raxh;
 
-std::string daemon_target(const CliParser& cli) {
-  const std::string flag = cli.value_or("-socket", "");
-  if (!flag.empty()) return flag;
-  if (const char* env = std::getenv("RAXHD_SOCKET")) return env;
-  return "/tmp/raxhd.sock";
-}
+constexpr Flag kFlags[] = {
+    Flag::text("socket", "/tmp/raxhd.sock", "daemon socket or host:port",
+               "RAXHD_SOCKET"),
+    Flag::integer("interval-ms", "1000", 1, "refresh period"),
+    Flag::toggle("once", "print a single frame without clearing and exit"),
+};
+
+constexpr CliSpec kCli{
+    "[flags]", kFlags, false,
+    "Live view of a raxhd daemon (LIST + METRICS per tick; ANSI repaint).\n"};
 
 // First sample of `family` in a Prometheus text exposition: the value of
 // the first non-comment line whose name (up to ' ' or '{') matches. -1.0
@@ -161,25 +163,10 @@ void paint(const std::string& target, const std::vector<serve::JobStatus>& jobs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliParser cli(argc, argv);
-  if (cli.has("h") || cli.has("-help")) {
-    std::printf(
-        "usage: %s [--socket=PATH|host:port] [--interval-ms=N] [--once]\n"
-        "Live view of a raxhd daemon (LIST + METRICS per tick; ANSI "
-        "repaint).\n"
-        "--once prints a single frame without clearing and exits.\n",
-        argv[0]);
-    return 0;
-  }
-  const std::string target = daemon_target(cli);
-  long interval_ms = 0;
-  try {
-    interval_ms = cli.int_or("-interval-ms", 1000);
-  } catch (const CliError& e) {
-    std::fprintf(stderr, "raxh_top: %s\n", e.what());
-    return 2;
-  }
-  const bool once = cli.has("-once");
+  const Cli cli = Cli::parse_or_exit(kCli, argc, argv);
+  const std::string& target = cli.text("socket");
+  const long long interval_ms = cli.integer("interval-ms");
+  const bool once = cli.has("once");
 
   try {
     serve::Client client = serve::Client::connect(target);
