@@ -1,7 +1,9 @@
 // Microbenchmarks of the likelihood kernels (google-benchmark): per-pattern
 // cost of newview / evaluate / NR derivatives under CAT and GAMMA. These are
 // the calibration inputs behind the performance model's assumption that
-// search-unit cost is proportional to the pattern count.
+// search-unit cost is proportional to the pattern count. BM_FillPmats and
+// BM_TipLookup time the serial setup the calling thread runs before each
+// newview and evaluate while the crew waits.
 //
 // Before the gbench suites, a kernel-member table runs a full-retraversal
 // evaluate for every supported family member and reports the gated headline
@@ -104,6 +106,59 @@ void BM_CatRateOptimization(benchmark::State& state) {
     benchmark::DoNotOptimize(f.engine->optimize_cat_rates(*f.tree));
 }
 BENCHMARK(BM_CatRateOptimization)->Unit(benchmark::kMillisecond);
+
+GtrModel setup_model() {
+  GtrParams gtr;
+  gtr.rates = {1.3, 4.2, 0.8, 1.1, 5.0, 1.0};
+  gtr.freqs = {0.32, 0.18, 0.24, 0.26};
+  return GtrModel(gtr);
+}
+
+std::vector<double> setup_rates(int ncat) {
+  std::vector<double> rates(static_cast<std::size_t>(ncat));
+  for (std::size_t c = 0; c < rates.size(); ++c) rates[c] = 0.05 + 0.2 * c;
+  return rates;
+}
+
+// One branch's P matrices, all categories in one batched fill. Arg: rate
+// categories (25 = the CAT cap, 4 = GAMMA).
+void BM_FillPmats(benchmark::State& state) {
+  const GtrModel model = setup_model();
+  const auto rates = setup_rates(static_cast<int>(state.range(0)));
+  std::vector<double> pmats(rates.size() * 16);
+  double t = 0.01;
+  for (auto _ : state) {
+    model.transition_matrices(t, rates, pmats.data());
+    benchmark::DoNotOptimize(pmats.data());
+    benchmark::ClobberMemory();
+    t = t < 1.0 ? t * 1.07 : 0.01;
+  }
+  state.SetItemsProcessed(static_cast<long>(state.iterations()) *
+                          static_cast<long>(rates.size()));
+}
+BENCHMARK(BM_FillPmats)->Arg(25)->Arg(4);
+
+// One branch's tip lookup. Args: rate categories; 0 = all 16 masks, 1 = the
+// five masks of a typical alignment (A, C, G, T and the gap).
+void BM_TipLookup(benchmark::State& state) {
+  const int ncat = static_cast<int>(state.range(0));
+  const auto rates = setup_rates(ncat);
+  std::vector<double> pmats(rates.size() * 16);
+  setup_model().transition_matrices(0.1, rates, pmats.data());
+  const std::uint16_t masks =
+      state.range(1) == 0
+          ? kern::kAllTipMasks
+          : static_cast<std::uint16_t>((1u << kStateA) | (1u << kStateC) |
+                                       (1u << kStateG) | (1u << kStateT) |
+                                       (1u << kStateGap));
+  std::vector<double> lookup(rates.size() * 64);
+  for (auto _ : state) {
+    kern::build_tip_lookup(pmats.data(), ncat, lookup.data(), masks);
+    benchmark::DoNotOptimize(lookup.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TipLookup)->Args({25, 0})->Args({25, 1})->Args({4, 0})->Args({4, 1});
 
 // ---------------------------------------------------------------------------
 // kernel-member table (gated headline speedup)

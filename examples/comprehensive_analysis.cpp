@@ -26,8 +26,9 @@ using raxh::Flag;
 constexpr Flag kFlags[] = {
     Flag::text("s", nullptr, "PHYLIP alignment [a simulated demo]"),
     Flag::integer("N", "20", 1, "bootstraps"),
-    Flag::integer("p", "12345", 1, "parsimony seed"),
-    Flag::integer("x", "12345", 1, "rapid-bootstrap seed"),
+    Flag::integer("p", "12345", 1, "parsimony seed", raxh::kNoMaximum),
+    Flag::integer("x", "12345", 1, "rapid-bootstrap seed",
+                  raxh::kNoMaximum),
     Flag::integer("np", "2", 1, "MPI-style process count (forked ranks)"),
     Flag::integer("T", "1", 1, "threads per process"),
     Flag::text("o", "comprehensive", "output basename"),

@@ -32,9 +32,18 @@ PatternAlignment PatternAlignment::compress(const Alignment& alignment) {
 
   const std::size_t npat = pattern_columns.size();
   out.data_.resize(taxa * npat);
-  for (std::size_t p = 0; p < npat; ++p)
-    for (std::size_t t = 0; t < taxa; ++t)
-      out.data_[t * npat + p] = pattern_columns[p][t];
+  unsigned states = 0;  // every state OR-ed together: only masks 0..15
+  unsigned masks = 0;
+  for (std::size_t p = 0; p < npat; ++p) {
+    for (std::size_t t = 0; t < taxa; ++t) {
+      const DnaState s = pattern_columns[p][t];
+      out.data_[t * npat + p] = s;
+      states |= s;
+      masks |= 1u << (s & kStateGap);
+    }
+  }
+  RAXH_EXPECTS(states <= kStateGap);
+  out.tip_masks_ = static_cast<std::uint16_t>(masks);
   return out;
 }
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,6 +36,10 @@ class PatternAlignment {
     return data_[taxon * num_patterns() + pattern];
   }
 
+  // The IUPAC masks that occur in the rows: bit m is set iff some taxon has
+  // state mask m at some pattern. Tip lookups need entries for these only.
+  [[nodiscard]] std::uint16_t tip_masks() const { return tip_masks_; }
+
   // Original-site multiplicities of each pattern.
   [[nodiscard]] std::span<const int> weights() const { return weights_; }
 
@@ -53,6 +58,7 @@ class PatternAlignment {
   std::vector<DnaState> data_;  // taxa-major: [taxon][pattern]
   std::vector<int> weights_;
   std::vector<std::size_t> site_to_pattern_;
+  std::uint16_t tip_masks_ = 0;
 };
 
 }  // namespace raxh

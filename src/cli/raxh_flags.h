@@ -1,18 +1,28 @@
 // raxh's flag table: every flag the one-shot CLI accepts, with its default,
-// minimum, choices and environment default. `raxh --help` prints it.
+// range, choices, value check and environment default. `raxh --help` prints
+// it.
 #pragma once
 
+#include <string>
+
+#include "minimpi/fault.h"
 #include "util/cli.h"
 
 namespace raxh {
+
+// A malformed --fault-plan (or RAXH_FAULT_PLAN) is a usage error, caught
+// with the flags before any input is read.
+inline void check_fault_plan(const std::string& spec) {
+  (void)mpi::FaultPlan::parse(spec);
+}
 
 inline constexpr Flag kRaxhFlags[] = {
     Flag::text("s", nullptr, "PHYLIP alignment (required)"),
     Flag::choice("f", "a|d|b|x|e", "a", "analysis mode (see below)"),
     Flag::integer("N", "100", 1,
                   "bootstraps; -f d searches [10]; -f x replicate cap [200]"),
-    Flag::integer("p", "12345", 1, "parsimony seed"),
-    Flag::integer("x", "12345", 1, "rapid-bootstrap seed"),
+    Flag::integer("p", "12345", 1, "parsimony seed", kNoMaximum),
+    Flag::integer("x", "12345", 1, "rapid-bootstrap seed", kNoMaximum),
     Flag::integer("np", "1", 1, "coarse-grained ranks (forked processes)"),
     Flag::integer("T", "1", 1, "fine-grained threads per rank"),
     Flag::text("n", "raxh", "output basename"),
@@ -32,7 +42,7 @@ inline constexpr Flag kRaxhFlags[] = {
     Flag::toggle("fault-tolerant", "-f a: re-grant the shares of dead ranks"),
     Flag::text("checkpoint-dir", nullptr, "-f a: bootstrap checkpoints"),
     Flag::text("fault-plan", nullptr, "-f a: faults kind@rank,op[,ms];...",
-               "RAXH_FAULT_PLAN"),
+               "RAXH_FAULT_PLAN", check_fault_plan),
     Flag::removed("repeats", "site repeats were retired"),
     Flag::removed("simd", "use --kernels=scalar to run the scalar reference"),
     Flag::removed("collectives", "collectives always use binomial trees"),

@@ -176,21 +176,15 @@ int run_comprehensive(const PatternAlignment& patterns, const Cli& cli) {
   const int ranks = static_cast<int>(cli.integer("np"));
   const std::string& name = cli.text("n");
 
-  // Fault injection (testing; --fault-plan, default $RAXH_FAULT_PLAN). A
-  // plan with lethal actions and no recovery would just crash the job, so
-  // lethal plans imply --fault-tolerant. Delay-only plans stay on the
-  // regular collective driver: they model slow edges, not rank death, and
-  // the tree collectives they slow down are what raxh_comm and the
-  // kCollEdge postmortem attribute.
-  const std::string& plan_spec = cli.text("fault-plan");
-  mpi::FaultPlan plan;
-  if (!plan_spec.empty()) {
-    try {
-      plan = mpi::FaultPlan::parse(plan_spec);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: bad fault plan: %s\n", e.what());
-      return 1;
-    }
+  // Fault injection (testing; --fault-plan, default $RAXH_FAULT_PLAN; the
+  // flag table has already rejected a malformed plan). A plan with lethal
+  // actions and no recovery would just crash the job, so lethal plans imply
+  // --fault-tolerant. Delay-only plans stay on the regular collective
+  // driver: they model slow edges, not rank death, and the tree collectives
+  // they slow down are what raxh_comm and the kCollEdge postmortem
+  // attribute.
+  const mpi::FaultPlan plan = mpi::FaultPlan::parse(cli.text("fault-plan"));
+  if (!plan.empty()) {
     for (const mpi::FaultAction& action : plan.actions)
       if (action.lethal()) options.fault_tolerant = true;
     std::printf("fault plan active: %s\n", plan.to_spec().c_str());

@@ -3,7 +3,7 @@
 // them on a shared pool of thread-backed minimpi ranks, and serves results
 // bit-identical to one-shot `raxh -f a` runs with the same seeds.
 //
-// Flags: `raxhd --help` prints the table below.
+// Flags: `raxhd --help` prints the table in raxhd_flags.h.
 //
 // Observability: the same exposition is always available in-band via the
 // kMetrics protocol op / `raxhd_client metrics`, and over loopback HTTP with
@@ -20,6 +20,7 @@
 #include <fstream>
 #include <string>
 
+#include "cli/raxhd_flags.h"
 #include "obs/obs.h"
 #include "serve/server.h"
 #include "util/cli.h"
@@ -38,30 +39,10 @@ void on_signal(int) {
   if (g_server != nullptr) g_server->request_shutdown();
 }
 
-constexpr Flag kFlags[] = {
-    Flag::text("socket", "/tmp/raxhd.sock", "unix-domain listener path"),
-    Flag::integer("tcp-port", "0", -1, "loopback TCP port; 0 off, -1 any"),
-    Flag::integer("jobs", "4", 1, "concurrent executor slots"),
-    Flag::integer("cache-mb", "64", 0, "alignment cache budget in MiB"),
-    Flag::integer("lookahead", "2", 1, "admission pipeline depth"),
-    Flag::text("artifact-dir", nullptr, "per-job checkpoint directory"),
-    Flag::integer("max-ranks", "16", 1, "per-job rank cap"),
-    Flag::integer("max-threads", "16", 1, "per-job threads-per-rank cap"),
-    Flag::integer("stream-interval-ms", "100", 1, "STREAM event cadence"),
-    Flag::choice("log-level", "error|warn|info|debug", "info", "log level"),
-    Flag::integer("metrics-http-port", "0", -1, "GET /metrics; 0 off, -1 any"),
-    Flag::text("trace-out", nullptr, "Chrome trace of every job, at exit"),
-    Flag::text("metrics-out", nullptr, "final Prometheus scrape, at exit"),
-};
-
-constexpr CliSpec kCli{
-    "[flags]", kFlags, false,
-    "Long-lived analysis daemon; submit jobs with raxhd_client.\n"};
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Cli cli = Cli::parse_or_exit(kCli, argc, argv);
+  const Cli cli = Cli::parse_or_exit(kRaxhdCli, argc, argv);
   Logger::instance().set_level(*parse_log_level(cli.text("log-level")));
 
   serve::ServerOptions options;

@@ -34,12 +34,16 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& patterns,
                         1.0 / rates_.num_categories());
   }
 
+  size_pmat_scratch();
+  sumtable_.resize(clv_stride_);
+}
+
+void LikelihoodEngine::size_pmat_scratch() {
   const auto ncat = static_cast<std::size_t>(rates_.num_categories());
   pmat_a_.resize(ncat * 16);
   pmat_b_.resize(ncat * 16);
   lookup_a_.resize(ncat * 64);
   lookup_b_.resize(ncat * 64);
-  sumtable_.resize(clv_stride_);
 }
 
 int LikelihoodEngine::clv_cats() const {
@@ -95,12 +99,8 @@ void LikelihoodEngine::set_cat_assignment(std::vector<double> category_rates,
   RAXH_EXPECTS(rates_.kind() == RateKind::kCat);
   rates_.set_categories(std::move(category_rates),
                         std::move(pattern_categories));
-  // The number of model categories may have changed; resize P scratch.
-  const auto ncat = static_cast<std::size_t>(rates_.num_categories());
-  pmat_a_.resize(ncat * 16);
-  pmat_b_.resize(ncat * 16);
-  lookup_a_.resize(ncat * 64);
-  lookup_b_.resize(ncat * 64);
+  // The number of model categories may have changed.
+  size_pmat_scratch();
   ++model_epoch_;
 }
 
@@ -108,15 +108,6 @@ std::uint64_t LikelihoodEngine::content_version(const Tree& tree,
                                                 int rec) const {
   if (tree.is_tip_record(rec)) return 0;  // tips never change content
   return slots_[static_cast<std::size_t>(tree.clv_slot(rec))].version;
-}
-
-void LikelihoodEngine::fill_pmats(double t, std::vector<double>& pmats) const {
-  const int ncat = rates_.num_categories();
-  for (int c = 0; c < ncat; ++c) {
-    const auto p = model_.transition_matrix(t, rates_.rate(c));
-    std::copy(p.begin(), p.end(),
-              pmats.begin() + static_cast<std::size_t>(c) * 16);
-  }
 }
 
 void LikelihoodEngine::refresh_partition() {
@@ -217,14 +208,17 @@ void LikelihoodEngine::compute_clv(const Tree& tree, int rec) {
   const int slot = tree.clv_slot(rec);
   const auto lay = layout();
   const int ncat = rates_.num_categories();
+  const std::uint16_t masks = patterns_->tip_masks();
 
-  fill_pmats(len1, pmat_a_);
-  fill_pmats(len2, pmat_b_);
+  model_.transition_matrices(len1, rates_.rates(), pmat_a_.data());
+  model_.transition_matrices(len2, rates_.rates(), pmat_b_.data());
 
   const bool tip1 = tree.is_tip_record(c1);
   const bool tip2 = tree.is_tip_record(c2);
-  if (tip1) kern::build_tip_lookup(pmat_a_.data(), ncat, lookup_a_.data());
-  if (tip2) kern::build_tip_lookup(pmat_b_.data(), ncat, lookup_b_.data());
+  if (tip1)
+    kern::build_tip_lookup(pmat_a_.data(), ncat, lookup_a_.data(), masks);
+  if (tip2)
+    kern::build_tip_lookup(pmat_b_.data(), ncat, lookup_b_.data(), masks);
 
   double* out = clv(slot);
   int* out_scale = scale(slot);
@@ -291,13 +285,14 @@ double LikelihoodEngine::evaluate_edge(const Tree& tree, int rec,
   const auto lay = layout();
   const int ncat = rates_.num_categories();
   const double t = tree.length(rec);
-  fill_pmats(t, pmat_a_);
+  model_.transition_matrices(t, rates_.rates(), pmat_a_.data());
   const double* freqs = model_.freqs().data();
   const int slot_y = tree.clv_slot(y);
 
   if (tree.is_tip_record(x)) {
     const auto tip_row = patterns_->row(static_cast<std::size_t>(x));
-    kern::build_tip_lookup(pmat_a_.data(), ncat, lookup_a_.data());
+    kern::build_tip_lookup(pmat_a_.data(), ncat, lookup_a_.data(),
+                           patterns_->tip_masks());
     return dispatch_sum([&](std::size_t b, std::size_t e) {
       return std::array{kern::evaluate_tip_inner(
           lay, b, e, freqs, tip_row.data(), lookup_a_.data(), clv(slot_y),

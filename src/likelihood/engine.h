@@ -122,8 +122,8 @@ class LikelihoodEngine {
   void ensure_clv(const Tree& tree, int rec);
   void compute_clv(const Tree& tree, int rec);
 
-  // Fill pmats (ncat_model * 16) for branch length t.
-  void fill_pmats(double t, std::vector<double>& pmats) const;
+  // Size the P-matrix and tip-lookup scratch to the model's categories.
+  void size_pmat_scratch();
 
   // Striped dispatch for the jobs without a reduction (newview, sumtable):
   // runs fn(begin, end) on equal blocks of patterns. Their results are per
@@ -168,7 +168,12 @@ class LikelihoodEngine {
   std::uint64_t version_counter_ = 1;
   std::uint64_t newview_count_ = 0;
 
-  // Scratch (master-filled, crew-read).
+  // Scratch, filled by the calling thread before each crew job and read by
+  // the crew. pmat_*: ncat_model P matrices of 16, written in one batched
+  // GtrModel::transition_matrices call per branch. lookup_*: ncat_model
+  // tip lookups of 64 (16 masks x 4 states), of which build_tip_lookup
+  // writes only the masks in patterns_->tip_masks(), the only entries the
+  // kernels read. sumtable_: one CLV stride, built by prepare_branch.
   std::vector<double> pmat_a_, pmat_b_;
   std::vector<double> lookup_a_, lookup_b_;
   AlignedVector<double> sumtable_;

@@ -6,6 +6,7 @@
 #include "likelihood/kernels.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "obs/obs.h"
@@ -425,10 +426,12 @@ std::string to_json_section() {
   return out;
 }
 
-void build_tip_lookup(const double* pmats, int ncat, double* lookup) {
+void build_tip_lookup(const double* pmats, int ncat, double* lookup,
+                      std::uint16_t masks) {
   for (int c = 0; c < ncat; ++c) {
     const double* p = pmats + c * 16;
-    for (int mask = 0; mask < 16; ++mask) {
+    for (unsigned left = masks; left != 0; left &= left - 1) {
+      const int mask = std::countr_zero(left);
       pdotmask(p, static_cast<DnaState>(mask), lookup + c * 64 + mask * 4);
     }
   }

@@ -134,10 +134,16 @@ struct RateLayout {
   }
 };
 
+// Every IUPAC mask 0..15, as a tip-mask set (bit m = mask m).
+inline constexpr std::uint16_t kAllTipMasks = 0xFFFF;
+
 // Precomputed P * tip-indicator products: lookup[cat*64 + mask*4 + i] =
 // sum_{j in mask} P_cat[i][j]. Built once per (edge length, model) by the
-// engine; kernels index it by the tip's 4-bit mask.
-void build_tip_lookup(const double* pmats, int ncat, double* lookup);
+// engine; kernels index it by the tip's 4-bit mask. Only the masks in
+// `masks` are written (the engine passes PatternAlignment::tip_masks(), the
+// masks its tip rows hold); the other entries keep whatever they held.
+void build_tip_lookup(const double* pmats, int ncat, double* lookup,
+                      std::uint16_t masks = kAllTipMasks);
 
 // --- newview: fill the CLV at a node from its two children ---
 

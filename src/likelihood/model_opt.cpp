@@ -94,11 +94,7 @@ double LikelihoodEngine::optimize_cat_rates(Tree& tree) {
   rates_ = saved;
 
   rates_.assign_categories_from_rates(best_rate, weights_);
-  const auto ncat = static_cast<std::size_t>(rates_.num_categories());
-  pmat_a_.resize(ncat * 16);
-  pmat_b_.resize(ncat * 16);
-  lookup_a_.resize(ncat * 64);
-  lookup_b_.resize(ncat * 64);
+  size_pmat_scratch();
   ++model_epoch_;
   return evaluate(tree);
 }

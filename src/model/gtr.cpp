@@ -85,26 +85,34 @@ GtrModel::GtrModel(const GtrParams& params) : params_(params) {
   }
 }
 
-std::array<double, 16> GtrModel::transition_matrix(double t, double rate) const {
+void GtrModel::transition_matrices(double t, std::span<const double> rates,
+                                   double* out) const {
   RAXH_EXPECTS(t >= 0.0);
-  RAXH_EXPECTS(rate >= 0.0);
-  std::array<double, 4> expl{};
-  for (int k = 0; k < kStates; ++k)
-    expl[static_cast<std::size_t>(k)] =
-        std::exp(eigenvalues_[static_cast<std::size_t>(k)] * t * rate);
+  std::array<double, 4> lambda_t{};
+  for (std::size_t k = 0; k < 4; ++k) lambda_t[k] = eigenvalues_[k] * t;
 
-  std::array<double, 16> p{};
-  for (int i = 0; i < kStates; ++i) {
-    for (int j = 0; j < kStates; ++j) {
-      double sum = 0.0;
-      for (int k = 0; k < kStates; ++k)
-        sum += v_[static_cast<std::size_t>(i * kStates + k)] *
-               expl[static_cast<std::size_t>(k)] *
-               vinv_[static_cast<std::size_t>(k * kStates + j)];
+  for (const double rate : rates) {
+    RAXH_EXPECTS(rate >= 0.0);
+    std::array<double, 4> expl{};
+    for (std::size_t k = 0; k < 4; ++k) expl[k] = std::exp(lambda_t[k] * rate);
+
+    for (std::size_t i = 0; i < 4; ++i) {
+      std::array<double, 4> w{};  // row i of V * diag(exp(lambda t rate))
+      for (std::size_t k = 0; k < 4; ++k) w[k] = v_[i * 4 + k] * expl[k];
+      std::array<double, 4> sum = {0.0, 0.0, 0.0, 0.0};
+      for (std::size_t k = 0; k < 4; ++k)
+        for (std::size_t j = 0; j < 4; ++j) sum[j] += w[k] * vinv_[k * 4 + j];
       // Round-off can push tiny probabilities slightly negative.
-      p[static_cast<std::size_t>(i * kStates + j)] = sum < 0.0 ? 0.0 : sum;
+      for (std::size_t j = 0; j < 4; ++j)
+        out[i * 4 + j] = sum[j] < 0.0 ? 0.0 : sum[j];
     }
+    out += 16;
   }
+}
+
+std::array<double, 16> GtrModel::transition_matrix(double t, double rate) const {
+  std::array<double, 16> p{};
+  transition_matrices(t, std::span<const double>(&rate, 1), p.data());
   return p;
 }
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace raxh {
@@ -39,8 +40,16 @@ class GtrModel {
     return eigenvalues_;
   }
 
-  // P(t*rate): row-major 4x4 transition probability matrix.
-  // t >= 0; rate scales branch length (rate-heterogeneity category).
+  // P(t*rate_c) for every rate category c at once: writes rates.size()
+  // row-major 4x4 matrices to out[c*16 .. c*16+15]. t >= 0; each rate >= 0
+  // scales the branch length (rate-heterogeneity category). lambda_k*t is
+  // formed once per call, exp((lambda_k*t)*rate_c) once per category, and
+  // V*exp*V^-1 summed over k in order, so every call gives the same bits
+  // for the same (t, rate) whatever the batch.
+  void transition_matrices(double t, std::span<const double> rates,
+                           double* out) const;
+
+  // P(t*rate) as one matrix: the one-category call of the batched fill.
   [[nodiscard]] std::array<double, 16> transition_matrix(double t,
                                                          double rate = 1.0) const;
 

@@ -108,6 +108,9 @@ void Cli::set(std::size_t row, const std::string& spelled, std::string text) {
       if (v.integer < flag.min)
         throw CliError(shown + ": below the minimum " +
                        std::to_string(flag.min));
+      if (v.integer > flag.max)
+        throw CliError(shown + ": above the maximum " +
+                       std::to_string(flag.max));
       break;
     case FlagKind::kDouble:
       v.real = parse_number<double>(shown, text, "a number");
@@ -119,6 +122,13 @@ void Cli::set(std::size_t row, const std::string& spelled, std::string text) {
       break;
     case FlagKind::kString:
       if (text.empty()) throw CliError(spelled + ": expected a value");
+      if (flag.check != nullptr) {
+        try {
+          flag.check(text);
+        } catch (const std::exception& e) {
+          throw CliError(shown + ": " + e.what());
+        }
+      }
       break;
     case FlagKind::kSwitch:
     case FlagKind::kRemoved:
@@ -196,6 +206,8 @@ std::string Cli::usage() const {
       right += " [default " + std::string(flag.fallback) + "]";
     if (flag.min != kNoMinimum)
       right += " [min " + std::to_string(flag.min) + "]";
+    if (flag.kind == FlagKind::kInt && flag.max < kIntMaximum)
+      right += " [max " + std::to_string(flag.max) + "]";
     if (flag.env != nullptr) right += " [env " + std::string(flag.env) + "]";
     line(std::move(left), right);
   }

@@ -2,8 +2,8 @@
 // Flag rows, and Cli parses its argv against that table: RAxML-style
 // single-dash flags ("-N 100 -f a"), GNU-style ones ("--trace-out=FILE"),
 // and `-name` / `--name` as two spellings of the same row. The table alone
-// decides what is accepted, each row's default, minimum, choices and
-// environment default, and the text of --help.
+// decides what is accepted, each row's default, range, choices, value check
+// and environment default, and the text of --help.
 #pragma once
 
 #include <limits>
@@ -24,6 +24,11 @@ class CliError : public std::runtime_error {
 enum class FlagKind { kSwitch, kInt, kDouble, kString, kChoice, kRemoved };
 
 inline constexpr long long kNoMinimum = std::numeric_limits<long long>::min();
+// The default maximum of an integer row: the binaries keep counts in an int.
+inline constexpr long long kIntMaximum = std::numeric_limits<int>::max();
+inline constexpr long long kIntMinimum = std::numeric_limits<int>::min();
+// For rows kept in 64 bits (seeds).
+inline constexpr long long kNoMaximum = std::numeric_limits<long long>::max();
 
 // One declared flag. Rows are built with the named constructors below.
 struct Flag {
@@ -32,28 +37,35 @@ struct Flag {
   const char* help;                // --help text; kRemoved: the error message
   const char* fallback = nullptr;  // value when absent; nullptr = none
   long long min = kNoMinimum;      // kInt: smallest accepted value
+  long long max = kIntMaximum;     // kInt: largest accepted value
   const char* choices = nullptr;   // kChoice: "a|b|c"
   const char* env = nullptr;       // environment variable supplying a default
+  // kString: throws a std::exception on a value the row does not admit.
+  void (*check)(const std::string&) = nullptr;
 
   static constexpr Flag toggle(const char* name, const char* help) {
     return {name, FlagKind::kSwitch, help};
   }
   static constexpr Flag integer(const char* name, const char* fallback,
-                                long long min, const char* help) {
-    return {name, FlagKind::kInt, help, fallback, min};
+                                long long min, const char* help,
+                                long long max = kIntMaximum) {
+    return {name, FlagKind::kInt, help, fallback, min, max};
   }
   static constexpr Flag real(const char* name, const char* fallback,
                              const char* help) {
     return {name, FlagKind::kDouble, help, fallback};
   }
   static constexpr Flag text(const char* name, const char* fallback,
-                             const char* help, const char* env = nullptr) {
-    return {name, FlagKind::kString, help, fallback, kNoMinimum, nullptr, env};
+                             const char* help, const char* env = nullptr,
+                             void (*check)(const std::string&) = nullptr) {
+    return {.name = name, .kind = FlagKind::kString, .help = help,
+            .fallback = fallback, .env = env, .check = check};
   }
   static constexpr Flag choice(const char* name, const char* choices,
                                const char* fallback, const char* help,
                                const char* env = nullptr) {
-    return {name, FlagKind::kChoice, help, fallback, kNoMinimum, choices, env};
+    return {.name = name, .kind = FlagKind::kChoice, .help = help,
+            .fallback = fallback, .choices = choices, .env = env};
   }
   static constexpr Flag removed(const char* name, const char* message) {
     return {name, FlagKind::kRemoved, message};
@@ -73,9 +85,9 @@ class Cli {
  public:
   // Parses argv against `spec` (whose flag table must outlive the Cli), then
   // fills absent rows from their environment variables. Throws CliError on an
-  // undeclared or removed flag, a missing, malformed, out-of-range or
-  // undeclared-choice value, a value given to a switch, or a positional
-  // argument when the spec declares none. -h / --help sets help().
+  // undeclared or removed flag, a missing, malformed, out-of-range,
+  // undeclared-choice or check-failing value, a value given to a switch, or a
+  // positional argument when the spec declares none. -h / --help sets help().
   Cli(const CliSpec& spec, int argc, const char* const* argv);
 
   // For a main(): prints the usage and exits 0 on --help, prints the error

@@ -5,6 +5,7 @@
 // where the build puts it (e.g. when tests are run from an unusual working
 // directory).
 #include <gtest/gtest.h>
+#include <stdlib.h>
 #include <sys/wait.h>
 
 #include <cstdlib>
@@ -30,12 +31,17 @@ class CliSmoke : public ::testing::Test {
     binary_ = fs::absolute("../src/cli/raxh");
     if (!fs::exists(binary_)) GTEST_SKIP() << "raxh binary not found";
 
-    // One directory per test: ctest runs the cases as parallel processes,
-    // and a shared stdout.txt would hand one case another's output.
-    work_ = fs::temp_directory_path() /
-            (std::string("raxh_cli_test_") +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::create_directories(work_);
+    // A fresh directory per test run, removed in TearDown: ctest runs the
+    // cases as parallel processes, and a shared stdout.txt would hand one
+    // case another's output, as would files an earlier run left behind.
+    std::string dir =
+        (fs::temp_directory_path() /
+         (std::string("raxh_cli_test_") +
+          ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+          "_XXXXXX"))
+            .string();
+    ASSERT_NE(mkdtemp(dir.data()), nullptr) << dir;
+    work_ = dir;
     alignment_ = (work_ / "data.phy").string();
 
     SimConfig cfg;
@@ -47,6 +53,10 @@ class CliSmoke : public ::testing::Test {
     write_phylip_file(alignment_, sim.alignment);
     true_tree_ = (work_ / "true.tre").string();
     std::ofstream(true_tree_) << sim.true_tree_newick << '\n';
+  }
+
+  void TearDown() override {
+    if (!work_.empty()) fs::remove_all(work_);
   }
 
   int run(const std::string& args) const { return run_binary(binary_, args); }
@@ -323,7 +333,6 @@ TEST_F(CliSmoke, UnknownFlagExitsTwo) {
 // an abort: no analysis starts and no crash black box is written.
 TEST_F(CliSmoke, OutOfRangeCountExitsTwo) {
   const fs::path base = work_ / "range";
-  fs::remove_all(base.string() + "_blackbox");  // left by an earlier run
   for (const auto& [args, names] :
        {std::pair<const char*, const char*>{"-T 0", "-T=0"},
         {"-np 0", "-np=0"},
@@ -333,6 +342,24 @@ TEST_F(CliSmoke, OutOfRangeCountExitsTwo) {
                        names);
     EXPECT_FALSE(fs::exists(base.string() + "_blackbox")) << args;
   }
+}
+
+// A malformed fault plan, from the flag or from RAXH_FAULT_PLAN, is a usage
+// error found with the flags: raxh exits 2 naming it before it reads the
+// alignment (a missing file would otherwise exit 1) or prints a startup line.
+TEST_F(CliSmoke, BadFaultPlanExitsTwoBeforeReadingInput) {
+  const std::string base = " -f a -N 2 -n " + (work_ / "plan").string();
+  const std::string missing = (work_ / "missing.phy").string();
+  expect_usage_error(binary_.string() + " -s " + missing + base +
+                         " --fault-plan=bogus",
+                     "--fault-plan=bogus: fault plan 'bogus'");
+  expect_usage_error(binary_.string() + " -s " + alignment_ + base +
+                         " --fault-plan=die@0,3",
+                     "--fault-plan=die@0,3: fault plan");
+  EXPECT_EQ(output().find("raxh: "), std::string::npos) << output();
+  expect_usage_error("RAXH_FAULT_PLAN=drop@1 " + binary_.string() + " -s " +
+                         missing + base,
+                     "RAXH_FAULT_PLAN=drop@1: fault plan");
 }
 
 }  // namespace

@@ -4,14 +4,19 @@
 // [WRN] + kKernelFallback obs counter), and bitwise agreement of every
 // compiled-and-supported member with the scalar reference across rate models
 // (GAMMA / CAT) and pattern counts, over the full
-// newview/evaluate/sumtable/derivative trio.
+// newview/evaluate/sumtable/derivative trio, and tip lookups built only for
+// the masks an alignment holds against the full 16-mask lookups.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "bio/patterns.h"
 #include "likelihood/kernels.h"
+#include "model/gtr.h"
 #include "obs/obs.h"
 #include "util/prng.h"
 
@@ -169,6 +174,126 @@ TEST(KernelFamily, ParityAcrossLayoutsAndModels) {
                      std::string(kern::kernel_isa_name(isa)) +
                          (sh.gamma ? " GAMMA " : " CAT ") +
                          std::to_string(sh.npat));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Tip lookups for the masks that occur.
+// ---------------------------------------------------------------------------
+
+struct TipChainOut {
+  std::vector<double> clv_tt, clv_ti, per_pattern;
+  std::vector<int> s_tt, s_ti;
+  double lnl = 0.0;
+};
+
+// Tip-tip newview (taxa 0 and 1), tip-inner newview (taxon 2 onto that CLV)
+// and tip-inner evaluate (taxon 3 against the second CLV), with every tip
+// lookup built for `masks` only. The entries outside `masks` start as NaN,
+// so a kernel that read one would carry it into the outputs.
+TipChainOut run_tip_chain(const PatternAlignment& pa, const kern::RateLayout& l,
+                          std::uint16_t masks) {
+  const std::size_t npat = pa.num_patterns();
+  GtrParams params;
+  params.rates = {1.3, 4.2, 0.8, 1.1, 5.0, 1.0};
+  params.freqs = {0.32, 0.18, 0.24, 0.26};
+  const GtrModel model(params);
+  std::vector<double> rates(static_cast<std::size_t>(l.ncat_model));
+  for (std::size_t c = 0; c < rates.size(); ++c) rates[c] = 0.3 + 0.5 * c;
+
+  const auto ncat = static_cast<std::size_t>(l.ncat_model);
+  const double lengths[5] = {0.05, 0.21, 0.013, 0.4, 0.09};
+  std::vector<std::vector<double>> pmats(5, std::vector<double>(ncat * 16));
+  std::vector<std::vector<double>> lookups(
+      5, std::vector<double>(ncat * 64,
+                             std::numeric_limits<double>::quiet_NaN()));
+  for (std::size_t b = 0; b < 5; ++b) {
+    model.transition_matrices(lengths[b], rates, pmats[b].data());
+    kern::build_tip_lookup(pmats[b].data(), l.ncat_model, lookups[b].data(),
+                           masks);
+  }
+
+  std::vector<int> weights(npat);
+  for (std::size_t p = 0; p < npat; ++p)
+    weights[p] = pa.weights()[p];
+  TipChainOut o;
+  o.clv_tt.assign(l.clv_stride(npat), 0.0);
+  o.clv_ti.assign(l.clv_stride(npat), 0.0);
+  o.per_pattern.assign(npat, 0.0);
+  o.s_tt.assign(npat, 0);
+  o.s_ti.assign(npat, 0);
+  kern::newview_tip_tip(l, 0, npat, pa.row(0).data(), pa.row(1).data(),
+                        lookups[0].data(), lookups[1].data(), o.clv_tt.data(),
+                        o.s_tt.data());
+  kern::newview_tip_inner(l, 0, npat, pa.row(2).data(), lookups[2].data(),
+                          o.clv_tt.data(), o.s_tt.data(), pmats[3].data(),
+                          o.clv_ti.data(), o.s_ti.data());
+  o.lnl = kern::evaluate_tip_inner(l, 0, npat, model.freqs().data(),
+                                   pa.row(3).data(), lookups[4].data(),
+                                   o.clv_ti.data(), o.s_ti.data(),
+                                   weights.data(), o.per_pattern.data());
+  return o;
+}
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(KernelFamily, OccurringMaskLookupsMatchFullLookups) {
+  // Gaps ('-', '?'), N, and two ambiguity codes that each occur in one taxon
+  // only: R in taxon 1, Y in taxon 2.
+  const std::vector<std::string> text = {
+      "ACGTACGTNN--ACGTAAGGCCTTACGTAC",
+      "ACGTTCGA-NACGTACGRACCTTACGTTCA",
+      "AGGTACGTACGTAC?TACGGCYTTACGAAC",
+      "ACCTACGTACNTACGTACGACCTTACGTAC",
+      "TCGTACGAACGTACGTACGACCTTTCGTAC",
+  };
+  std::vector<std::vector<DnaState>> rows;
+  for (const auto& t : text) {
+    std::vector<DnaState> row;
+    for (char ch : t) row.push_back(encode_dna(ch));
+    rows.push_back(std::move(row));
+  }
+  const PatternAlignment pa = PatternAlignment::compress(
+      Alignment({"t0", "t1", "t2", "t3", "t4"}, rows));
+  std::uint16_t expected = 0;
+  for (DnaState s : {kStateA, kStateC, kStateG, kStateT, kStateGap,
+                     encode_dna('R'), encode_dna('Y')})
+    expected |= static_cast<std::uint16_t>(1u << s);
+  ASSERT_EQ(pa.tip_masks(), expected);
+
+  const std::size_t npat = pa.num_patterns();
+  std::vector<double> cw(4, 0.25);
+  std::vector<int> pcat(npat);
+  for (std::size_t p = 0; p < npat; ++p) pcat[p] = static_cast<int>(p % 3);
+  kern::RateLayout gamma;
+  gamma.ncat_model = 4;
+  gamma.clv_cats = 4;
+  gamma.cat_weights = cw.data();
+  kern::RateLayout cat;
+  cat.ncat_model = 3;
+  cat.pattern_cat = pcat.data();
+
+  std::vector<kern::KernelIsa> isas = {kern::KernelIsa::kScalar};
+  for (const auto isa : simd_isas()) isas.push_back(isa);
+  for (const auto isa : isas) {
+    ScopedIsa guard(isa);
+    for (const auto* l : {&gamma, &cat}) {
+      const std::string what = std::string(kern::kernel_isa_name(isa)) +
+                               (l == &gamma ? " GAMMA" : " CAT");
+      const TipChainOut want = run_tip_chain(pa, *l, kern::kAllTipMasks);
+      const TipChainOut got = run_tip_chain(pa, *l, pa.tip_masks());
+      EXPECT_TRUE(std::isfinite(want.lnl)) << what;
+      EXPECT_TRUE(same_bits(got.clv_tt, want.clv_tt)) << what;
+      EXPECT_TRUE(same_bits(got.clv_ti, want.clv_ti)) << what;
+      EXPECT_TRUE(same_bits(got.per_pattern, want.per_pattern)) << what;
+      EXPECT_EQ(got.s_tt, want.s_tt) << what;
+      EXPECT_EQ(got.s_ti, want.s_ti) << what;
+      EXPECT_EQ(std::memcmp(&got.lnl, &want.lnl, sizeof got.lnl), 0) << what;
     }
   }
 }

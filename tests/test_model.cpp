@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "model/eigen.h"
 #include "model/gtr.h"
 #include "model/rates.h"
+#include "util/prng.h"
 
 namespace raxh {
 namespace {
@@ -193,6 +196,68 @@ TEST(Gtr, OneEigenvalueIsZeroRestNegative) {
   // Ascending order: last is the zero eigenvalue.
   EXPECT_NEAR(lambda[3], 0.0, 1e-10);
   for (int k = 0; k < 3; ++k) EXPECT_LT(lambda[static_cast<std::size_t>(k)], -1e-6);
+}
+
+// P(t*rate) as the per-category triple product computed it before the
+// batched fill: exp(lambda_k * t * rate), then sum_k v_ik * e_k * vinv_kj
+// from 0.0 with negatives clamped to 0.
+std::array<double, 16> reference_transition_matrix(const GtrModel& model,
+                                                   double t, double rate) {
+  const auto& lambda = model.eigenvalues();
+  const auto& v = model.right_vectors();
+  const auto& vinv = model.left_vectors();
+  std::array<double, 4> expl{};
+  for (std::size_t k = 0; k < 4; ++k) expl[k] = std::exp(lambda[k] * t * rate);
+  std::array<double, 16> p{};
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      double sum = 0.0;
+      for (std::size_t k = 0; k < 4; ++k)
+        sum += v[i * 4 + k] * expl[k] * vinv[k * 4 + j];
+      p[i * 4 + j] = sum < 0.0 ? 0.0 : sum;
+    }
+  }
+  return p;
+}
+
+TEST(Model, BatchedTransitionMatricesBitwise) {
+  std::vector<double> times = {0.0};
+  for (int i = 0; i < 41; ++i) times.push_back(1e-8 * std::pow(10.0, i / 5.0));
+  for (std::int64_t seed = 1; seed <= 6; ++seed) {
+    Lcg r(seed);
+    GtrParams params;
+    for (double& x : params.rates) x = 0.1 + 9.9 * r.next_double();
+    double fsum = 0.0;
+    for (double& f : params.freqs) fsum += (f = 0.05 + r.next_double());
+    for (double& f : params.freqs) f /= fsum;
+    const GtrModel model(params);
+
+    const RateModel gamma = RateModel::gamma(0.1 + 2.0 * r.next_double());
+    std::vector<double> cat(25);
+    for (double& x : cat) x = 0.02 + 5.0 * r.next_double();
+    const std::vector<std::vector<double>> rate_sets = {
+        {1.0}, {gamma.rates().begin(), gamma.rates().end()}, cat};
+    ASSERT_EQ(rate_sets[1].size(), 4u);
+
+    for (const auto& rates : rate_sets) {
+      for (const double t : times) {
+        std::vector<double> want(rates.size() * 16);
+        for (std::size_t c = 0; c < rates.size(); ++c) {
+          const auto p = reference_transition_matrix(model, t, rates[c]);
+          std::memcpy(want.data() + c * 16, p.data(), sizeof p);
+          const auto one = model.transition_matrix(t, rates[c]);
+          EXPECT_EQ(std::memcmp(one.data(), p.data(), sizeof p), 0)
+              << "seed " << seed << " t=" << t << " rate=" << rates[c];
+        }
+        std::vector<double> got(rates.size() * 16, -1.0);
+        model.transition_matrices(t, rates, got.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(double)),
+                  0)
+            << "seed " << seed << " t=" << t << " ncat=" << rates.size();
+      }
+    }
+  }
 }
 
 TEST(Rates, UniformModel) {

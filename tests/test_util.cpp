@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cli/raxh_flags.h"
+#include "cli/raxhd_flags.h"
 #include "raxh_blackbox_flags.h"
 #include "raxhd_client_flags.h"
 #include "util/cli.h"
@@ -331,6 +332,50 @@ TEST(Cli, EnvironmentSuppliesTheDefault) {
   unsetenv("RAXH_TEST_CLI_PLAN");
   const Cli cli(kTestCli, 1, argv);
   EXPECT_FALSE(cli.has("plan"));
+}
+
+// Counts are kept in an int, so an integer row stops at INT_MAX unless it
+// declares otherwise (seeds are 64-bit, ports stop at 65535). Parsing only:
+// nothing here starts the threads, forks or listeners a value asks for.
+TEST(Cli, IntegerRowsRejectValuesPastTheirMaximum) {
+  const std::string past = " above the maximum 2147483647";
+  for (const char* flag : {"-T", "-np", "-N"}) {
+    EXPECT_EQ(cli_error(kRaxhCli, {flag, "4294967297"}),
+              std::string(flag) + "=4294967297:" + past);
+    EXPECT_EQ(cli_error(kRaxhdClientCli, {"submit", flag, "2147483648"}),
+              std::string(flag) + "=2147483648:" + past);
+  }
+  EXPECT_EQ(cli_error(kRaxhCli, {"-T", "2147483647"}), "");
+  EXPECT_EQ(cli_error(kRaxhCli, {"-p", "4294967297", "-x", "4294967298"}), "");
+  EXPECT_EQ(cli_error(kRaxhdClientCli, {"submit", "--priority=-2147483649"}),
+            "--priority=-2147483649: below the minimum -2147483648");
+  for (const char* flag :
+       {"--jobs", "--lookahead", "--max-ranks", "--max-threads",
+        "--cache-mb", "--stream-interval-ms"}) {
+    EXPECT_EQ(cli_error(kRaxhdCli, {flag, "4294967297"}),
+              std::string(flag) + "=4294967297:" + past);
+  }
+  EXPECT_EQ(cli_error(kRaxhdCli, {"--tcp-port", "65536"}),
+            "--tcp-port=65536: above the maximum 65535");
+  EXPECT_EQ(cli_error(kRaxhdCli, {"--metrics-http-port=65535"}), "");
+  EXPECT_EQ(cli_error(kTestCli, {"-T", "2147483648"}), "-T=2147483648:" + past);
+}
+
+// A text row with a check rejects what the check throws on, from the
+// command line and from its environment variable alike.
+TEST(Cli, CheckedTextRowsRejectBadValues) {
+  EXPECT_EQ(cli_error(kRaxhCli, {"--fault-plan=bogus"}),
+            "--fault-plan=bogus: fault plan 'bogus': missing '@' in 'bogus'");
+  // An op past int: the parser's own std::out_of_range, reported the same.
+  EXPECT_EQ(cli_error(kRaxhCli, {"--fault-plan", "die@1,99999999999"})
+                .rfind("--fault-plan=die@1,99999999999: ", 0),
+            0u);
+  EXPECT_EQ(cli_error(kRaxhCli, {"--fault-plan=die@1,5;delay@0,3,15"}), "");
+  ASSERT_EQ(setenv("RAXH_FAULT_PLAN", "die@0,1", 1), 0);
+  EXPECT_NE(cli_error(kRaxhCli, {}).find("RAXH_FAULT_PLAN=die@0,1: fault plan"),
+            std::string::npos);
+  EXPECT_EQ(cli_error(kRaxhCli, {"--fault-plan=die@1,2"}), "");
+  unsetenv("RAXH_FAULT_PLAN");
 }
 
 TEST(Cli, UsageListsEveryRow) {

@@ -28,7 +28,7 @@ constexpr Flag kFlags[] = {
     Flag::integer("taxa", "12", 3, "taxa"),
     Flag::integer("distinct", "400", 1, "distinct site columns"),
     Flag::integer("sites", "600", 1, "total sites (>= -distinct)"),
-    Flag::integer("seed", "42", 0, "simulation seed"),
+    Flag::integer("seed", "42", 0, "simulation seed", raxh::kNoMaximum),
     Flag::text("tree", nullptr, "also write the generating tree here"),
     Flag::real("mean-branch", "0.12", "mean branch length (> 0)"),
 };

@@ -12,12 +12,14 @@ inline constexpr Flag kRaxhdClientFlags[] = {
     Flag::text("s", nullptr, "submit: PHYLIP alignment (required)"),
     Flag::text("n", "raxh", "submit: job name; result: output basename"),
     Flag::integer("N", "20", 1, "submit: bootstraps"),
-    Flag::integer("p", "12345", 1, "submit: parsimony seed"),
-    Flag::integer("x", "12345", 1, "submit: rapid-bootstrap seed"),
+    Flag::integer("p", "12345", 1, "submit: parsimony seed",
+                  kNoMaximum),
+    Flag::integer("x", "12345", 1, "submit: rapid-bootstrap seed",
+                  kNoMaximum),
     Flag::integer("np", "1", 1, "submit: ranks"),
     Flag::integer("T", "1", 1, "submit: threads per rank"),
     Flag::choice("m", "GTRCAT|GTRGAMMA", "GTRCAT", "submit: model"),
-    Flag::integer("priority", "0", kNoMinimum, "submit: higher runs first"),
+    Flag::integer("priority", "0", kIntMinimum, "submit: higher runs first"),
     Flag::text("tenant", nullptr, "submit: owner label for the metrics"),
     Flag::toggle("checkpoint", "submit: checkpoint in --artifact-dir"),
     Flag::toggle("wait", "submit: follow the job until it ends"),
