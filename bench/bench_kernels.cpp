@@ -3,7 +3,8 @@
 // the calibration inputs behind the performance model's assumption that
 // search-unit cost is proportional to the pattern count. BM_FillPmats and
 // BM_TipLookup time the serial setup the calling thread runs before each
-// newview and evaluate while the crew waits.
+// newview and evaluate while the crew waits; BM_NrDerivatives times the
+// Newton derivative kernel alone.
 //
 // Before the gbench suites, a kernel-member table runs a full-retraversal
 // evaluate for every supported family member and reports the gated headline
@@ -23,6 +24,7 @@
 #include "likelihood/engine.h"
 #include "likelihood/kernels.h"
 #include "tree/tree.h"
+#include "util/prng.h"
 
 namespace {
 
@@ -159,6 +161,52 @@ void BM_TipLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TipLookup)->Args({25, 0})->Args({25, 1})->Args({4, 0})->Args({4, 1});
+
+// One Newton step's branch-length derivatives over a whole edge: the
+// nr_derivatives kernel on 810 patterns (two short of a whole 4-pattern
+// block, so the tail path runs too), serial. Args: rate categories; 1 =
+// GAMMA (all categories per pattern), 0 = CAT (one category per pattern).
+// BENCH_kernels.json carries its ns_per_pattern.
+void BM_NrDerivatives(benchmark::State& state) {
+  constexpr std::size_t kPatterns = 810;
+  const int ncat = static_cast<int>(state.range(0));
+  const bool gamma = state.range(1) != 0;
+  const GtrModel model = setup_model();
+  const auto rates = setup_rates(ncat);
+  std::vector<double> cat_weights(static_cast<std::size_t>(ncat), 1.0 / ncat);
+  std::vector<int> pattern_cat(kPatterns);
+  std::vector<int> weights(kPatterns);
+  Lcg r(2024);
+  for (std::size_t p = 0; p < kPatterns; ++p) {
+    pattern_cat[p] = r.next_below(ncat);
+    weights[p] = 1 + r.next_below(3);
+  }
+  kern::RateLayout l;
+  l.ncat_model = ncat;
+  l.clv_cats = gamma ? ncat : 1;
+  if (gamma)
+    l.cat_weights = cat_weights.data();
+  else
+    l.pattern_cat = pattern_cat.data();
+  std::vector<double> clv_x(l.clv_stride(kPatterns));
+  std::vector<double> clv_y(l.clv_stride(kPatterns));
+  for (auto& v : clv_x) v = 0.01 + r.next_double();
+  for (auto& v : clv_y) v = 0.01 + r.next_double();
+  std::vector<double> sumtable(l.sumtable_stride(kPatterns), 0.0);
+  kern::edge_sumtable_inner_inner(
+      l, 0, kPatterns, model.freqs().data(), model.right_vectors().data(),
+      model.left_vectors().data(), clv_x.data(), clv_y.data(),
+      sumtable.data());
+  double t = 0.01;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kern::nr_derivatives(
+        l, 0, kPatterns, sumtable.data(), model.eigenvalues().data(),
+        rates.data(), t, weights.data()));
+    t = t < 1.0 ? t * 1.07 : 0.01;
+  }
+  state.counters["patterns"] = kPatterns;
+}
+BENCHMARK(BM_NrDerivatives)->Args({4, 1})->Args({25, 0});
 
 // ---------------------------------------------------------------------------
 // kernel-member table (gated headline speedup)

@@ -69,7 +69,8 @@ namespace raxh::bench {
 
 // Console reporter that additionally captures each benchmark's per-iteration
 // real time, so the gbench binaries emit the same BENCH_<name>.json
-// summaries as the table/figure benches.
+// summaries as the table/figure benches. A benchmark that sets a "patterns"
+// counter also gets its real time per pattern.
 class CapturingReporter : public ::benchmark::ConsoleReporter {
  public:
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -82,7 +83,16 @@ class CapturingReporter : public ::benchmark::ConsoleReporter {
                         static_cast<double>(run.iterations) * 1e9);
       if (!rows_.empty()) rows_ += ',';
       rows_ += "{\"name\":\"" + run.benchmark_name() +
-               "\",\"real_time_ns\":" + buf + '}';
+               "\",\"real_time_ns\":" + buf;
+      const auto patterns = run.counters.find("patterns");
+      if (patterns != run.counters.end() && patterns->second.value > 0) {
+        std::snprintf(buf, sizeof(buf), "%.2f",
+                      run.real_accumulated_time /
+                          static_cast<double>(run.iterations) * 1e9 /
+                          patterns->second.value);
+        rows_ += ",\"ns_per_pattern\":" + std::string(buf);
+      }
+      rows_ += '}';
     }
   }
 

@@ -35,7 +35,7 @@ LikelihoodEngine::LikelihoodEngine(const PatternAlignment& patterns,
   }
 
   size_pmat_scratch();
-  sumtable_.resize(clv_stride_);
+  sumtable_.resize(layout().sumtable_stride(npat));  // padding stays 0.0
 }
 
 void LikelihoodEngine::size_pmat_scratch() {

@@ -173,7 +173,10 @@ class LikelihoodEngine {
   // GtrModel::transition_matrices call per branch. lookup_*: ncat_model
   // tip lookups of 64 (16 masks x 4 states), of which build_tip_lookup
   // writes only the masks in patterns_->tip_masks(), the only entries the
-  // kernels read. sumtable_: one CLV stride, built by prepare_branch.
+  // kernels read. sumtable_: built by prepare_branch, in the kernels'
+  // 4-pattern blocks (RateLayout::sumtable_index); it is not a CLV, so its
+  // layout is free to differ. The last block's padding is zeroed at
+  // construction and never written.
   std::vector<double> pmat_a_, pmat_b_;
   std::vector<double> lookup_a_, lookup_b_;
   AlignedVector<double> sumtable_;

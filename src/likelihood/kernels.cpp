@@ -6,7 +6,6 @@
 #include "likelihood/kernels.h"
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 
 #include "obs/obs.h"
@@ -196,7 +195,7 @@ void scalar_edge_sumtable_tip_inner(const RateLayout& l, std::size_t begin,
           u += freqs[i] * x[i] * vmat[i * 4 + k];
           w += vinv[k * 4 + i] * clv_y[l.clv_index(p, c, i)];
         }
-        sumtable[l.clv_index(p, c, k)] = u * w;
+        sumtable[l.sumtable_index(p, c, k)] = u * w;
       }
     }
   }
@@ -215,7 +214,7 @@ void scalar_edge_sumtable_inner_inner(const RateLayout& l, std::size_t begin,
           u += freqs[i] * clv_x[l.clv_index(p, c, i)] * vmat[i * 4 + k];
           w += vinv[k * 4 + i] * clv_y[l.clv_index(p, c, i)];
         }
-        sumtable[l.clv_index(p, c, k)] = u * w;
+        sumtable[l.sumtable_index(p, c, k)] = u * w;
       }
     }
   }
@@ -235,7 +234,8 @@ Derivatives scalar_nr_derivatives(const RateLayout& l, std::size_t begin,
       const double wc = l.weight(c);
       for (int k = 0; k < 4; ++k) {
         const double lr = eigenvalues[k] * r;
-        const double term = sumtable[l.clv_index(p, c, k)] * std::exp(lr * t);
+        const double term =
+            sumtable[l.sumtable_index(p, c, k)] * std::exp(lr * t);
         a += wc * term;
         a1 += wc * lr * term;
         a2 += wc * lr * lr * term;
@@ -430,10 +430,9 @@ void build_tip_lookup(const double* pmats, int ncat, double* lookup,
                       std::uint16_t masks) {
   for (int c = 0; c < ncat; ++c) {
     const double* p = pmats + c * 16;
-    for (unsigned left = masks; left != 0; left &= left - 1) {
-      const int mask = std::countr_zero(left);
-      pdotmask(p, static_cast<DnaState>(mask), lookup + c * 64 + mask * 4);
-    }
+    for (int mask = 0; mask < 16; ++mask)
+      if ((masks >> mask) & 1)
+        pdotmask(p, static_cast<DnaState>(mask), lookup + c * 64 + mask * 4);
   }
 }
 

@@ -8,13 +8,18 @@
 //  * CLVs are pattern-major: clv[((p * clv_cats) + c) * 4 + state], so the
 //    4 states of one (pattern, category) are one contiguous vector. Values
 //    are scaled by kScaleFactor^scale[p] to dodge underflow.
+//  * Sumtables are engine scratch, not CLVs, and are stored in 4-pattern
+//    blocks (RateLayout::sumtable_index), so the 4 patterns of one
+//    (block, category, eigen-term) are one contiguous vector.
 //  * Tip data are 4-bit IUPAC masks; tip "CLV" entries are 0/1 indicators.
 //  * `RateLayout` abstracts GAMMA (all categories per pattern) vs CAT (one
 //    category per pattern, chosen by pattern_cat).
 //
 // Kernel family: one scalar reference implementation plus SIMD members
 // (generic baseline, AVX-512, NEON) built from a single shared source
-// (kernels_impl.inl) compiled per-ISA. Every member keeps the scalar
+// (kernels_impl.inl) compiled per-ISA. The CLV kernels put vector lanes on
+// the 4 states of one (pattern, category); the Newton derivatives put them
+// on the 4 patterns of a sumtable block. Every member keeps the scalar
 // operation order per lane and is compiled without FMA contraction, so all
 // members produce BITWISE-identical results on a given host — asserted by
 // tests/test_simd.cpp and tests/test_kernel_family.cpp. The active member is
@@ -124,13 +129,28 @@ struct RateLayout {
     return cat_weights != nullptr ? cat_weights[c] : 1.0;
   }
 
-  // Index of (pattern, category, state) in a CLV/sumtable.
+  // Index of (pattern, category, state) in a CLV.
   [[nodiscard]] std::size_t clv_index(std::size_t p, int c, int s) const {
     return (p * static_cast<std::size_t>(clv_cats) + c) * 4 + s;
   }
   // Doubles per CLV slot for `npatterns` patterns.
   [[nodiscard]] std::size_t clv_stride(std::size_t npatterns) const {
     return npatterns * static_cast<std::size_t>(clv_cats) * 4;
+  }
+
+  // Index of (pattern, category, eigen-term k) in a sumtable: 4-pattern
+  // blocks, so the 4 patterns of one (block, category, k) are contiguous
+  // and the derivative kernels can put one vector lane on each pattern.
+  [[nodiscard]] std::size_t sumtable_index(std::size_t p, int c,
+                                           int k) const {
+    return ((p / 4) * static_cast<std::size_t>(clv_cats) + c) * 16 + k * 4 +
+           p % 4;
+  }
+  // Doubles per sumtable for `npatterns` patterns: the pattern count
+  // rounded up to whole blocks. The derivative kernels compute the padding
+  // lanes of a partial block but never fold them; the engine zeroes them.
+  [[nodiscard]] std::size_t sumtable_stride(std::size_t npatterns) const {
+    return clv_stride((npatterns + 3) / 4 * 4);
   }
 };
 
@@ -188,7 +208,8 @@ double evaluate_inner_inner(const RateLayout& layout, std::size_t begin,
 // sumtable[p][c][k] = (sum_i pi_i x_i V_ik) * (sum_j Vinv_kj y_j): the edge
 // likelihood becomes L(t) = sum_k sumtable_k * exp(lambda_k * r_c * t),
 // making the branch-length derivatives analytic. The sumtable is indexed
-// like a CLV.
+// by RateLayout::sumtable_index (4-pattern blocks), and each writer fills
+// only the patterns in [begin, end).
 void edge_sumtable_tip_inner(const RateLayout& layout, std::size_t begin,
                              std::size_t end, const double* freqs,
                              const double* vmat, const double* vinv,

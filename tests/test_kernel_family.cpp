@@ -4,14 +4,16 @@
 // [WRN] + kKernelFallback obs counter), and bitwise agreement of every
 // compiled-and-supported member with the scalar reference across rate models
 // (GAMMA / CAT) and pattern counts, over the full
-// newview/evaluate/sumtable/derivative trio, and tip lookups built only for
-// the masks an alignment holds against the full 16-mask lookups.
+// newview/evaluate/sumtable/derivative trio and on derivative ranges that
+// cut 4-pattern sumtable blocks, and tip lookups built only for the masks an
+// alignment holds against the full 16-mask lookups.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bio/patterns.h"
@@ -109,8 +111,8 @@ ChainOut run_chain(const Shape& sh) {
   o.clv1.assign(stride, 0.0);
   o.clv2.assign(stride, 0.0);
   o.clv3.assign(stride, 0.0);
-  o.st_ti.assign(stride, 0.0);
-  o.st_ii.assign(stride, 0.0);
+  o.st_ti.assign(l.sumtable_stride(npat), 0.0);
+  o.st_ii.assign(l.sumtable_stride(npat), 0.0);
   o.pp_ti.assign(npat, 0.0);
   o.pp_ii.assign(npat, 0.0);
   o.s1.assign(npat, 0);
@@ -179,6 +181,130 @@ TEST(KernelFamily, ParityAcrossLayoutsAndModels) {
 }
 
 // ---------------------------------------------------------------------------
+// Derivatives on ranges that start or end inside a 4-pattern block.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+struct RangeOut {
+  std::vector<double> st_ti, st_ii;
+  kern::Derivatives d_ti, d_ii;
+};
+
+// Both sumtable writers and the derivatives on [begin, end) under the active
+// member. The sumtables start as NaN, so the lanes outside the range (the
+// padding included) stay NaN: a writer that wrote one shows in the table,
+// and a derivative kernel that folded one returns NaN. The categories of
+// the patterns outside the range are far out of bounds, so a kernel that
+// read one would index far outside its category table.
+RangeOut run_range(const kern::RateLayout& base, std::size_t npat,
+                   std::size_t begin, std::size_t end) {
+  const int ncat = base.ncat_model;
+  kern::RateLayout l = base;
+  std::vector<int> pcat(npat, std::numeric_limits<int>::min() / 16);
+  for (std::size_t p = begin; p < end; ++p)
+    pcat[p] = static_cast<int>(p * 3 % static_cast<std::size_t>(ncat));
+  if (l.pattern_cat != nullptr) l.pattern_cat = pcat.data();
+
+  Lcg r(4321);
+  auto rnd = [&r] { return 0.05 + r.next_double(); };
+  std::vector<double> clv_x(l.clv_stride(npat)), clv_y(l.clv_stride(npat));
+  for (auto& v : clv_x) v = rnd();
+  for (auto& v : clv_y) v = rnd();
+  std::vector<DnaState> tip(npat);
+  for (std::size_t p = 0; p < npat; ++p)
+    tip[p] = static_cast<DnaState>(p * 7 % 15 + 1);
+  std::vector<int> weights(npat);
+  for (std::size_t p = 0; p < npat; ++p)
+    weights[p] = 1 + static_cast<int>(p % 4);
+  // A real eigen-decomposition keeps every pattern's likelihood positive,
+  // so the reference derivatives are finite.
+  GtrParams params;
+  params.rates = {1.3, 4.2, 0.8, 1.1, 5.0, 1.0};
+  params.freqs = {0.32, 0.18, 0.24, 0.26};
+  const GtrModel model(params);
+  const double* freqs = model.freqs().data();
+  const double* vmat = model.right_vectors().data();
+  const double* vinv = model.left_vectors().data();
+  const double* eigenvalues = model.eigenvalues().data();
+  std::vector<double> cat_rates(static_cast<std::size_t>(ncat));
+  for (int c = 0; c < ncat; ++c) cat_rates[c] = 0.2 + 0.6 * c;
+
+  RangeOut o;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  o.st_ti.assign(l.sumtable_stride(npat), nan);
+  o.st_ii.assign(l.sumtable_stride(npat), nan);
+  kern::edge_sumtable_tip_inner(l, begin, end, freqs, vmat, vinv, tip.data(),
+                                clv_y.data(), o.st_ti.data());
+  kern::edge_sumtable_inner_inner(l, begin, end, freqs, vmat, vinv,
+                                  clv_x.data(), clv_y.data(), o.st_ii.data());
+  o.d_ti = kern::nr_derivatives(l, begin, end, o.st_ti.data(), eigenvalues,
+                                cat_rates.data(), 0.13, weights.data());
+  o.d_ii = kern::nr_derivatives(l, begin, end, o.st_ii.data(), eigenvalues,
+                                cat_rates.data(), 0.41, weights.data());
+  return o;
+}
+
+TEST(KernelFamily, DerivativesOnUnalignedRanges) {
+  std::vector<double> cw(4, 0.25);
+  kern::RateLayout gamma;
+  gamma.ncat_model = 4;
+  gamma.clv_cats = 4;
+  gamma.cat_weights = cw.data();
+  const int dummy_cat = 0;
+  kern::RateLayout cat;
+  cat.ncat_model = 5;
+  cat.pattern_cat = &dummy_cat;  // run_range points it at its own table
+
+  for (const std::size_t npat : {std::size_t{37}, std::size_t{64}}) {
+    // Ends off the block grid on either side or both, a range inside one
+    // block, one that stops one short of the end, and an empty range.
+    const std::pair<std::size_t, std::size_t> ranges[] = {
+        {0, npat}, {1, npat},     {3, npat - 2}, {5, 7},
+        {9, 10},   {2, npat - 1}, {12, 27},      {13, 13}};
+    for (const auto* l : {&gamma, &cat}) {
+      for (const auto& [b, e] : ranges) {
+        const std::string what = std::string(l == &gamma ? "GAMMA" : "CAT") +
+                                 " npat " + std::to_string(npat) + " [" +
+                                 std::to_string(b) + ", " +
+                                 std::to_string(e) + ")";
+        const RangeOut want = [&] {
+          ScopedIsa guard(kern::KernelIsa::kScalar);
+          return run_range(*l, npat, b, e);
+        }();
+        for (const double v : {want.d_ti.d1, want.d_ti.d2, want.d_ii.d1,
+                               want.d_ii.d2})
+          EXPECT_TRUE(std::isfinite(v)) << what;
+        if (b == e) {
+          EXPECT_EQ(want.d_ii.d1, 0.0) << what;
+          EXPECT_EQ(want.d_ii.d2, 0.0) << what;
+        }
+        for (const auto isa : simd_isas()) {
+          ScopedIsa guard(isa);
+          const RangeOut got = run_range(*l, npat, b, e);
+          const std::string who = std::string(kern::kernel_isa_name(isa)) +
+                                  " " + what;
+          EXPECT_TRUE(same_bits(got.st_ti, want.st_ti)) << who;
+          EXPECT_TRUE(same_bits(got.st_ii, want.st_ii)) << who;
+          EXPECT_TRUE(same_bits(got.d_ti.d1, want.d_ti.d1)) << who;
+          EXPECT_TRUE(same_bits(got.d_ti.d2, want.d_ti.d2)) << who;
+          EXPECT_TRUE(same_bits(got.d_ii.d1, want.d_ii.d1)) << who;
+          EXPECT_TRUE(same_bits(got.d_ii.d2, want.d_ii.d2)) << who;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Tip lookups for the masks that occur.
 // ---------------------------------------------------------------------------
 
@@ -234,12 +360,6 @@ TipChainOut run_tip_chain(const PatternAlignment& pa, const kern::RateLayout& l,
                                    o.clv_ti.data(), o.s_ti.data(),
                                    weights.data(), o.per_pattern.data());
   return o;
-}
-
-template <typename T>
-bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
 }
 
 TEST(KernelFamily, OccurringMaskLookupsMatchFullLookups) {
